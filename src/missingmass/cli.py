@@ -13,6 +13,7 @@ mode, 4 output I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -104,8 +105,8 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not (0.0 < args.b_min < args.b_max):
-        raise ValueError(f"need 0 < b-min < b-max, got {args.b_min}, {args.b_max}")
+    if not (0.0 < args.b_min < args.b_max < math.inf):
+        raise ValueError(f"need 0 < b-min < b-max < inf, got {args.b_min}, {args.b_max}")
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
     if args.spacing == "geometric":
@@ -120,8 +121,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_landscape(args: argparse.Namespace) -> int:
-    if not args.c_max > 0.0:
-        raise ValueError(f"c-max must be positive, got {args.c_max}")
+    if not 0.0 < args.c_max < math.inf:
+        raise ValueError(f"c-max must be positive and finite, got {args.c_max}")
     if args.grid < 2:
         raise ValueError(f"grid must be at least 2, got {args.grid}")
     ws = np.linspace(0.0, 1.0, args.grid)
@@ -136,30 +137,13 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     d = dist.from_file(args.dist)
     est = simulate.estimate_variance(d, args.n, args.trials, args.seed, workers=args.workers)
-    record = {
-        "trials": est.trials,
-        "mean": est.mean,
-        "variance": est.variance,
-        "se_mean": est.se_mean,
-        "se_variance": est.se_variance,
-        "seed": est.seed,
-    }
-    return _emit_record(record, args.format, args.out)
+    return _emit_record(dataclasses.asdict(est), args.format, args.out)
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
     d = dist.from_file(args.dist)
-    mode = VarianceMethod.EXACT if args.mode == "exact" else VarianceMethod.POISSONIZED
-    report = gap_report(d, args.n, mode)
-    record = {
-        "n": report.n,
-        "mode": report.mode.value,
-        "true_variance": report.true_variance,
-        "subgamma_v": report.subgamma_v,
-        "iid_major_v": report.iid_major_v,
-        "gap_subgamma": report.gap_subgamma,
-        "gap_iid": report.gap_iid,
-    }
+    report = gap_report(d, args.n, _METHODS[args.mode][0])
+    record = {**dataclasses.asdict(report), "mode": report.mode.value}  # keeps the field order
     return _emit_record(record, args.format, args.out)
 
 

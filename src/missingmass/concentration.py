@@ -22,6 +22,7 @@ import numpy as np
 from .dist import DiscreteDistribution
 from .variance import (
     VarianceMethod,
+    _diagonal_variance,
     _fsum,
     _pow_one_minus,
     _require_sample_size,
@@ -65,8 +66,7 @@ def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
     pairwise part, so it upper-bounds the true variance.
     """
     _require_sample_size(n)
-    p = dist.probs
-    return _fsum(p * p * (_pow_one_minus(p, n) - _pow_one_minus(p, 2 * n)))
+    return _diagonal_variance(dist.probs, n)
 
 
 def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = VarianceMethod.EXACT) -> GapReport:
@@ -108,9 +108,8 @@ def max_subgamma_uniform_dirac(n: int, max_atoms: int | None = None, w_steps: in
     for k in ks:
         p = ws / k
         d = 1.0 - ws
-        with np.errstate(divide="ignore"):
-            q = np.exp(n * np.log1p(-np.minimum(p, 1.0)))
-            qd = np.exp(n * np.log1p(-d))
+        q = _pow_one_minus(np.minimum(p, 1.0), n)
+        qd = _pow_one_minus(d, n)
         v = k * p * p * q + d * d * qd + (k * p * q + d * qd) / n
         i = int(np.argmax(v))
         if n * v[i] > best.scaled_value:

@@ -63,7 +63,7 @@ class DiscreteDistribution:
         if np.any(arr < 0.0):
             raise NegativeMassError(f"negative mass: min entry {arr.min()!r}")
         total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
+        if not abs(total - 1.0) <= NORMALIZATION_ATOL:  # also catches a NaN total
             raise NotNormalizedError(f"masses sum to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -129,12 +129,12 @@ def uniform_dirac(atom_count: int, atom_mass: float, dirac_mass: float) -> Discr
     if atom_mass < 0.0 or dirac_mass < 0.0:
         raise NegativeMassError(f"masses must be nonnegative, got {atom_mass!r}, {dirac_mass!r}")
     total = atom_count * atom_mass + dirac_mass
-    if abs(total - 1.0) > NORMALIZATION_ATOL:
+    if not abs(total - 1.0) <= NORMALIZATION_ATOL:
         raise NotNormalizedError(f"atom_count*atom_mass + dirac_mass = {total!r}, not 1")
-    masses = [atom_mass] * int(atom_count)
+    masses = np.full(int(atom_count), atom_mass)
     if dirac_mass >= DIRAC_OMIT_THRESHOLD:
-        masses.append(dirac_mass)
-    return DiscreteDistribution(np.asarray(masses))
+        masses = np.append(masses, dirac_mass)
+    return DiscreteDistribution(masses)
 
 
 def from_file(path: str | Path) -> DiscreteDistribution:

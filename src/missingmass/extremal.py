@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import INFINITE, AlphabetBound, DiscreteDistribution, from_probs, uniform_dirac
+from .variance import _require_sample_size
 
 #: Points in the coarse scan that brackets the 1-D maximizer.
 GRID_POINTS = 1000
@@ -84,8 +85,6 @@ class WorstCaseSpec:
     def to_distribution(self) -> DiscreteDistribution:
         if self.atom_count == 0:
             return from_probs([1.0])
-        if self.dirac_mass == 0.0:
-            return from_probs([self.atom_mass] * self.atom_count, normalize=False)
         return uniform_dirac(self.atom_count, self.atom_mass, self.dirac_mass)
 
 
@@ -179,8 +178,7 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     distribution). The remainder becomes the point mass, reported as 0
     below 1e-12.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    _require_sample_size(n)
     bound = m if isinstance(m, AlphabetBound) else AlphabetBound(m)
     if bound.is_finite and bound.value < 2:
         raise InvalidAlphabetError(f"need at least 2 alphabet symbols, got {bound.value:g}")

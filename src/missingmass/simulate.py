@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution
+from .variance import _require_sample_size
 
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
@@ -61,8 +62,7 @@ def _draw_missing_mass(probs: np.ndarray, cdf: np.ndarray, n: int, rng: np.rando
 
 def sample_missing_mass(dist: DiscreteDistribution, n: int, seed: int) -> float:
     """Total mass of the symbols unseen in one n-draw sample."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    _require_sample_size(n)
     bg = np.random.Philox(key=0)
     bg.state = _stream_state(_master_key(seed), 0)
     cdf = np.cumsum(dist.probs)
@@ -92,8 +92,7 @@ def estimate_variance(
     statistics are reduced from that array in index order, so the output is
     a pure function of (dist, n, trials, seed).
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    _require_sample_size(n)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     probs = dist.probs

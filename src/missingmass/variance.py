@@ -22,7 +22,6 @@ that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,18 +82,21 @@ def _pairwise_chunk(p: np.ndarray, q: np.ndarray, n: int, start: int) -> float:
     pi = p[start:stop, None]
     qi = q[start:stop, None]
     s = np.minimum(pi + p[None, start:], 1.0)
-    with np.errstate(divide="ignore"):
-        cov = np.exp(n * np.log1p(-s)) - qi * q[None, start:]
+    cov = _pow_one_minus(s, n) - qi * q[None, start:]
     terms = pi * p[None, start:] * cov
     upper = ~np.tri(terms.shape[0], terms.shape[1], k=0, dtype=bool)
     return math.fsum(terms[upper].tolist())
 
 
-def exact_variance(dist: DiscreteDistribution, n: int, workers: int = 1) -> VarianceEstimate:
+def _diagonal_variance(p: np.ndarray, n: int) -> float:
+    """sum p^2 ((1-p)^n - (1-p)^{2n}): Var[M0] with every covariance dropped."""
+    return _fsum(p * p * (_pow_one_minus(p, n) - _pow_one_minus(p, 2 * n)))
+
+
+def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     """Exact Var[M0] from the pairwise covariance identity, no truncation.
 
-    ``workers`` only parallelizes fixed row chunks; partial sums are always
-    reduced in chunk order, so the result does not depend on worker count.
+    Pair terms are reduced per fixed row chunk, then across chunks in order.
     """
     _require_sample_size(n)
     p = dist.probs
@@ -105,18 +107,8 @@ def exact_variance(dist: DiscreteDistribution, n: int, workers: int = 1) -> Vari
             "use approx_variance_thm1 or poissonized_variance"
         )
     q = _pow_one_minus(p, n)
-    q2 = _pow_one_minus(p, 2 * n)
-    diag = _fsum(p * p * (q - q2))
-
-    starts = range(0, m, _CHUNK_ROWS)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda a: _pairwise_chunk(p, q, n, a), starts))
-    else:
-        partials = [_pairwise_chunk(p, q, n, a) for a in starts]
-    off = 2.0 * math.fsum(partials)
-
-    value = diag + off
+    off = 2.0 * math.fsum([_pairwise_chunk(p, q, n, a) for a in range(0, m, _CHUNK_ROWS)])
+    value = _diagonal_variance(p, n) + off
     if -1e-12 < value < 0.0:
         value = 0.0  # cancellation noise only; a real negative would be a bug
     return VarianceEstimate(value=value, method=VarianceMethod.EXACT, n=n)

@@ -154,6 +154,12 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--b-min", "0.5", "--b-max", "0.1", "--steps", "10")
         assert code == 2
 
+    def test_infinite_bmax_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--b-min", "0.1", "--b-max", "inf", "--steps", "10")
+        assert code == 2
+        assert out == ""
+        assert "b-max" in err
+
     def test_unwritable_exits_4(self, capsys):
         code, _, _ = run(capsys, "sweep", "--b-min", "0.1", "--b-max", "0.2", "--steps", "2", "--out", "/no/dir/s.csv")
         assert code == 4
@@ -192,6 +198,12 @@ class TestLandscapeCommand:
     def test_bad_cmax_exits_2(self, capsys):
         code, _, _ = run(capsys, "landscape", "--c-max", "-1", "--grid", "10")
         assert code == 2
+
+    def test_infinite_cmax_exits_2(self, capsys):
+        code, out, err = run(capsys, "landscape", "--c-max", "inf", "--grid", "3")
+        assert code == 2
+        assert out == ""
+        assert "c-max" in err
 
 
 class TestSimulateCommand:
@@ -251,6 +263,13 @@ class TestGapCommand:
 class TestExitCodeContract:
     def test_success_is_zero(self, capsys, dist_file):
         assert run(capsys, "variance", "--dist", dist_file("1.0\n"), "--n", "1")[0] == 0
+
+    @pytest.mark.parametrize("command", ["variance", "gap"])
+    def test_nan_mass_exits_2(self, capsys, dist_file, command):
+        code, out, err = run(capsys, command, "--dist", dist_file("nan\n1.0\n"), "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -53,6 +53,11 @@ class TestFromProbs:
         with pytest.raises(EmptyDistributionError):
             from_probs([])
 
+    @pytest.mark.parametrize("values, normalize", [([np.nan, 1.0], False), ([np.nan, 0.5], True)])
+    def test_nan_rejected(self, values, normalize):
+        with pytest.raises(NotNormalizedError):
+            from_probs(values, normalize=normalize)
+
     def test_zero_sum(self):
         with pytest.raises(ZeroSumError):
             from_probs([0.0, 0.0], normalize=True)
@@ -112,6 +117,10 @@ class TestUniformDirac:
     def test_negative(self):
         with pytest.raises(NegativeMassError):
             uniform_dirac(2, 0.6, -0.2)
+
+    def test_nan_mass(self):
+        with pytest.raises(NotNormalizedError):
+            uniform_dirac(2, np.nan, 0.0)
 
 
 class TestValidation:

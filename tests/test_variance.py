@@ -10,7 +10,9 @@ from missingmass import (
     exact_variance,
     expected_missing_mass,
     from_probs,
+    iid_majorization_v,
     poissonized_variance,
+    subgamma_v,
     uniform,
 )
 from oracles import enumeration_moments, simplex_grid
@@ -48,14 +50,6 @@ class TestExactVariance:
     @pytest.mark.parametrize("m", [1, 2, 5, 17])
     def test_range(self, m, n):
         assert 0.0 <= exact_variance(uniform(m), n).value <= 0.25
-
-    def test_worker_count_does_not_change_result(self):
-        rng = np.random.default_rng(7)
-        probs = rng.random(1000)
-        d = from_probs(probs / probs.sum())
-        v1 = exact_variance(d, 37, workers=1).value
-        v4 = exact_variance(d, 37, workers=4).value
-        assert v4 == pytest.approx(v1, rel=1e-13)
 
     def test_alphabet_cap(self):
         d = uniform(20001)
@@ -129,6 +123,32 @@ class TestSymmetry:
             assert approx_variance_thm1(perm, n).value == approx_variance_thm1(d, n).value
             assert poissonized_variance(perm, n).value == poissonized_variance(d, n).value
             assert expected_missing_mass(perm, n) == expected_missing_mass(d, n)
+
+
+class TestProperties:
+    """Random distributions of at most 256 atoms, so the pair sum is one fsum."""
+
+    def test_permutation_invariance_and_bounds(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        weights = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=256).filter(
+            lambda w: sum(w) > 0.0
+        )
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(w=weights, n=st.integers(min_value=1, max_value=10**5), data=st.data())
+        def check(w, n, data):
+            d = from_probs(w, normalize=True)
+            order = data.draw(st.permutations(range(len(w))))
+            perm = from_probs(d.probs[list(order)])
+            for fn in (exact_variance, approx_variance_thm1, poissonized_variance):
+                assert fn(perm, n).value == fn(d, n).value
+            for fn in (expected_missing_mass, subgamma_v, iid_majorization_v):
+                assert fn(perm, n) == fn(d, n)
+            assert 0.0 <= exact_variance(d, n).value <= iid_majorization_v(d, n) + 1e-15
+
+        check()
 
 
 class TestOccupancyMapMaxima:

@@ -6,8 +6,9 @@ two-line CSV; sweep and landscape write multi-row CSV files. All floats
 are rendered with 17 significant digits, so emitted files re-parse to the
 same doubles and re-emit byte-identically.
 
-Exit codes: 0 success, 2 input error, 3 alphabet too large for exact
-mode, 4 output I/O error.
+Exit codes: 0 success, 2 input error (or a result that is not finite,
+which is never printed as NaN or Infinity), 3 alphabet too large for
+exact mode, 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ _METHODS = {
 
 def _fmt(x: object) -> str:
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"refusing to emit the non-finite value {x!r}")
         return format(x, ".17g")
     return str(x)
 
@@ -64,7 +67,7 @@ def _write_out(text: str, out: str | None) -> int:
 
 def _emit_record(record: dict, fmt: str, out: str | None) -> int:
     if fmt == "json":
-        text = json.dumps(record) + "\n"
+        text = json.dumps(record, allow_nan=False) + "\n"
     else:
         header = ",".join(record)
         row = ",".join(_fmt(v) for v in record.values())

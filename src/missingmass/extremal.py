@@ -10,7 +10,7 @@ where w is the total mass of a uniform block and c the rescaled atom mass
 (c = p*n). The program reduces to one dimension: above the critical ratio
 1/c* the maximizer is the unconstrained uniform block (w = 1, c = c*),
 below it the alphabet constraint binds and c is found by maximizing
-g_b(c) = -b^2 c^4 e^{-2c} + b c^3 e^{-c} over (0, 1/b]. The threshold c*
+g_b(c) = -b^2 c^4 e^{-2c} + b c^3 e^{-c} over (0, min(1/b, 4)]. The threshold c*
 is the unique root in (2, 3) of 2 - 2 e^c + c(-2 + e^c) = 0.
 
 ``worst_case_distribution`` rounds the continuous maximizer to an integer
@@ -32,6 +32,12 @@ from .variance import _require_sample_size
 
 #: Points in the coarse scan that brackets the 1-D maximizer.
 GRID_POINTS = 1000
+
+#: g_b decreases on [SCAN_C_MAX, 1/b]: g_b'(c) = b c^2 e^{-c} [(3 - c) +
+#: b c e^{-c} (2c - 4)], and for c >= 4 the first part is <= -1 while
+#: b c <= 1 bounds the second by 4 e^{-4} < 0.08. So the maximizer lies
+#: in (0, min(1/b, SCAN_C_MAX)] and the scan needs no wider range.
+SCAN_C_MAX = 4.0
 
 #: Bracket width at which golden-section refinement stops.
 GOLDEN_TOL = 1e-10
@@ -114,8 +120,15 @@ def find_cstar() -> float:
 
 
 def objective_alpha(w: float, c: float) -> float:
-    """alpha(w, c) = -w^2 c^2 e^{-2c} + w c^2 e^{-c}, for w >= 0, c >= 0."""
-    return -w * w * c * c * math.exp(-2.0 * c) + w * c * c * math.exp(-c)
+    """alpha(w, c) = -w^2 c^2 e^{-2c} + w c^2 e^{-c}, for w >= 0, c >= 0.
+
+    Evaluated as w c^2 e^{-c} (1 - w e^{-c}) with c^2 e^{-c} =
+    exp(2 log c - c), so neither c^2 overflows nor e^{-c} underflows
+    before the product is formed.
+    """
+    if c == 0.0:
+        return 0.0
+    return w * math.exp(2.0 * math.log(c) - c) * (1.0 - w * math.exp(-c))
 
 
 def _golden_section_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -140,10 +153,13 @@ def solve_alpha(b: float) -> ExtremalSolution:
     """Optimal solution of the reduced program for alphabet ratio ``b``.
 
     For b >= 1/c* (or b = INFINITE) the alphabet constraint is slack and
-    the answer is (w=1, c=c*). Otherwise g_b is maximized over (0, 1/b]
-    with a coarse scan (g_b is smooth but not proven unimodal, so the scan
-    guards against a missed hump) followed by golden-section refinement on
-    the bracketing cell; ties in the scan resolve to the smallest c.
+    the answer is (w=1, c=c*). Otherwise g_b is maximized over
+    (0, min(1/b, SCAN_C_MAX)] with a coarse scan (g_b is smooth but not
+    proven unimodal, so the scan guards against a missed hump) followed by
+    golden-section refinement on the bracketing cell; ties in the scan
+    resolve to the smallest c. Both maximize
+    log g_b(c) - log b = 3 log c - c + log1p(-b c e^{-c}), which has the same
+    maximizer and stays finite for any b > 0, including subnormal b.
     """
     if isinstance(b, AlphabetBound):
         b = b.value
@@ -153,17 +169,17 @@ def solve_alpha(b: float) -> ExtremalSolution:
     if b >= 1.0 / cstar:
         c, w, regime = cstar, 1.0, Regime.UNIFORM
     else:
-        cap = 1.0 / b
+        cap = min(1.0 / b, SCAN_C_MAX)
 
-        def g(c: float) -> float:
-            return -(b * b) * c**4 * math.exp(-2.0 * c) + b * c**3 * math.exp(-c)
+        def log_g(c: float) -> float:
+            return 3.0 * math.log(c) - c + math.log1p(-b * c * math.exp(-c))
 
         grid = np.linspace(0.0, cap, GRID_POINTS + 1)[1:]
-        vals = -(b * b) * grid**4 * np.exp(-2.0 * grid) + b * grid**3 * np.exp(-grid)
+        vals = 3.0 * np.log(grid) - grid + np.log1p(-b * grid * np.exp(-grid))
         i = int(np.argmax(vals))  # first occurrence, i.e. smallest c on ties
         lo = grid[i - 1] if i > 0 else 0.0
         hi = grid[i + 1] if i + 1 < grid.size else cap
-        c = _golden_section_max(g, lo, hi)
+        c = _golden_section_max(log_g, lo, hi)
         w = b * c
         regime = Regime.UNIFORM_DIRAC
     return ExtremalSolution(alpha=objective_alpha(w, c), w=w, c=c, regime=regime, b=b)

@@ -7,8 +7,22 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   Var[M0] = sum_s p_s^2 Var[xi_s] + sum_{s != s'} p_s p_s' Cov[xi_s, xi_s']
   with Var[xi_s] = (1-p_s)^n - (1-p_s)^{2n} and
   Cov[xi_s, xi_s'] = (1-p_s-p_s')^n - (1-p_s)^n (1-p_s')^n.
-  Quadratic in the alphabet size, hence capped at
-  :data:`EXACT_ALPHABET_LIMIT` atoms.
+  With u = p/(1-p) and q = (1-p)^n the covariance factorises as
+  q q' [(1 - u u')^n - 1]. Atoms with t = sqrt(n) u > 1/2 are *heavy*
+  (fewer than 2 sqrt(n) + 1 of them); masses are sorted in descending
+  order, so the heavy atoms are a prefix, and their rows of the pair sum
+  are evaluated term by term against every later column. The light-light
+  pairs are the binomial series
+  sum_k (-1)^k c_k (T_k^2 - E_k)/2,  c_k = C(n,k)/n^k,
+  T_k = sum p q t^k,  E_k = sum (p q t^k)^2,
+  whose k = 1 term is Theorem 1's covariance term -n (sum p^2 q)^2 with
+  p/(1-p) in place of p and the s = s' pairs left out, and which ends at
+  k = n. Since t <= 1/2 and c_k <= 1/k!, the terms past K add at most
+  T_0^2/2 * sum_{k>K} 0.25^k/k!; the series stops once that computed
+  bound falls below one unit roundoff of T_0^2/2. Cost
+  O(m log m + h m + K m) for h heavy atoms and K terms (K <= 12),
+  against m(m-1)/2 pair terms for the plain identity; the cap
+  :data:`EXACT_ALPHABET_LIMIT` still applies.
 * ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n,
   accurate to O(1/n^2).
 * ``poissonized_variance``: the same shape with e^{-np} in place of
@@ -17,6 +31,9 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
 Powers are evaluated as exp(n*log1p(-p)) so that p near 0 with large n
 keeps full relative accuracy, and atom sums use compensated summation so
 that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
+The light series' T_k and E_k, sums of positive terms over the sorted
+masses, use numpy's pairwise summation instead (relative error
+O(eps log m)).
 """
 
 from __future__ import annotations
@@ -29,11 +46,16 @@ import numpy as np
 
 from .dist import DiscreteDistribution
 
-#: exact_variance refuses alphabets beyond this size; the pairwise sum is
-#: O(m^2) and the approximations are the intended tool for large m.
+#: exact_variance refuses alphabets beyond this size; the approximations
+#: are the intended tool for large m.
 EXACT_ALPHABET_LIMIT = 20000
 
 _CHUNK_ROWS = 256
+
+#: Atoms with sqrt(n) * p/(1-p) above this are heavy (see the module docstring).
+_HEAVY_T = 0.5
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class VarianceMethod(Enum):
@@ -71,14 +93,11 @@ def _pow_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:
         return np.exp(exponent * np.log1p(-p))
 
 
-def _pairwise_chunk(p: np.ndarray, q: np.ndarray, n: int, start: int) -> float:
-    """Covariance contribution of pairs (i, j), start <= i < start+chunk, j > i.
+def _pairwise_chunk(p: np.ndarray, q: np.ndarray, n: int, start: int, stop: int) -> float:
+    """Covariance contribution of pairs (i, j), start <= i < stop, j > i.
 
-    The chunk's pair terms are reduced with fsum, which is exact, so for
-    alphabets that fit in one chunk the whole pair sum is independent of
-    atom order down to the last bit.
+    The chunk's pair terms are reduced with fsum, which is exact.
     """
-    stop = min(start + _CHUNK_ROWS, p.size)
     pi = p[start:stop, None]
     qi = q[start:stop, None]
     s = np.minimum(pi + p[None, start:], 1.0)
@@ -88,27 +107,63 @@ def _pairwise_chunk(p: np.ndarray, q: np.ndarray, n: int, start: int) -> float:
     return math.fsum(terms[upper].tolist())
 
 
+def _light_pair_sum(a: np.ndarray, t: np.ndarray, n: int) -> tuple[float, int, float]:
+    """sum_{i<j} a_i a_j [(1 - t_i t_j / n)^n - 1] for 0 <= t <= _HEAVY_T.
+
+    Expands the bracket binomially into sum_k (-1)^k c_k (T_k^2 - E_k)/2
+    with c_k = C(n,k)/n^k, T_k = sum a t^k and E_k = sum (a t^k)^2. Returns
+    (value, terms summed, bound on the dropped remainder); the bound is
+    exactly 0 when the series ran to its last term k = n.
+    """
+    t0 = float(np.sum(a))
+    scale = 0.5 * t0 * t0
+    if scale == 0.0:
+        return 0.0, 0, 0.0
+    x = _HEAVY_T * _HEAVY_T
+    w = a
+    c = 1.0
+    tail = x  # x^(k+1)/(k+1)!: bounds term k+1 relative to scale
+    terms = []
+    for k in range(1, n + 1):
+        c *= (n - k + 1) / (n * k)
+        w = w * t
+        tk = float(np.sum(w))
+        terms.append((-1) ** k * c * 0.5 * (tk * tk - float(np.sum(w * w))))
+        tail *= x / (k + 1)
+        remainder = scale * tail / (1.0 - x / (k + 2))
+        if remainder <= _UNIT_ROUNDOFF * scale:
+            break
+    return math.fsum(terms), k, (0.0 if k == n else remainder)
+
+
 def _diagonal_variance(p: np.ndarray, n: int) -> float:
     """sum p^2 ((1-p)^n - (1-p)^{2n}): Var[M0] with every covariance dropped."""
     return _fsum(p * p * (_pow_one_minus(p, n) - _pow_one_minus(p, 2 * n)))
 
 
 def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
-    """Exact Var[M0] from the pairwise covariance identity, no truncation.
+    """Exact Var[M0]: heavy rows of the pair sum term by term, light pairs by series.
 
-    Pair terms are reduced per fixed row chunk, then across chunks in order.
+    The masses are sorted first, so the result does not depend on atom
+    order. The heavy rows are reduced per fixed row chunk, then across
+    chunks in order; the light series is truncated only below one unit
+    roundoff of its own scale (see the module docstring).
     """
     _require_sample_size(n)
-    p = dist.probs
-    m = p.size
+    m = dist.probs.size
     if m > EXACT_ALPHABET_LIMIT:
         raise AlphabetTooLargeError(
             f"{m} atoms exceeds the exact-mode limit of {EXACT_ALPHABET_LIMIT}; "
             "use approx_variance_thm1 or poissonized_variance"
         )
+    p = np.ascontiguousarray(np.sort(dist.probs)[::-1])
     q = _pow_one_minus(p, n)
-    off = 2.0 * math.fsum([_pairwise_chunk(p, q, n, a) for a in range(0, m, _CHUNK_ROWS)])
-    value = _diagonal_variance(p, n) + off
+    with np.errstate(divide="ignore"):
+        t = math.sqrt(n) * (p / (1.0 - p))  # inf at p == 1, a heavy atom
+    h = int(np.count_nonzero(t > _HEAVY_T))  # a prefix: t grows with p
+    heavy = math.fsum([_pairwise_chunk(p, q, n, a, min(a + _CHUNK_ROWS, h)) for a in range(0, h, _CHUNK_ROWS)])
+    light, _, _ = _light_pair_sum(p[h:] * q[h:], t[h:], n)
+    value = _diagonal_variance(p, n) + 2.0 * (heavy + light)
     if -1e-12 < value < 0.0:
         value = 0.0  # cancellation noise only; a real negative would be a bug
     return VarianceEstimate(value=value, method=VarianceMethod.EXACT, n=n)

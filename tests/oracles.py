@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the library.
 
-Everything here is deliberately naive: full outcome enumeration for the
-variance, dense lattice scans for the optimizer. These stay independent of
-the code paths they check.
+Everything here is deliberately naive: full outcome enumeration and the
+plain all-pairs covariance identity for the variance, a 50-digit mpmath
+evaluation over (mass, multiplicity) groups, dense lattice scans for the
+optimizer. These stay independent of the code paths they check.
 """
 
 from __future__ import annotations
@@ -33,6 +34,44 @@ def enumeration_moments(probs: list[float], n: int) -> tuple[float, float]:
 
 def enumeration_variance(probs: list[float], n: int) -> float:
     return enumeration_moments(probs, n)[1]
+
+
+def pairwise_variance(probs, n: int) -> float:
+    """Var[M0] from the full identity: every one of the m(m-1)/2 covariance
+    terms p p' [(1-p-p')^n - (1-p)^n (1-p')^n] evaluated directly, in row
+    chunks reduced with fsum, O(m^2) time."""
+    p = np.asarray(probs, dtype=np.float64)
+    chunk_rows = 256
+    with np.errstate(divide="ignore"):
+        q = np.exp(n * np.log1p(-p))
+        q2 = np.exp(2 * n * np.log1p(-p))
+        chunks = []
+        for start in range(0, p.size, chunk_rows):
+            stop = min(start + chunk_rows, p.size)
+            pi = p[start:stop, None]
+            s = np.minimum(pi + p[None, start:], 1.0)
+            cov = np.exp(n * np.log1p(-s)) - q[start:stop, None] * q[None, start:]
+            terms = pi * p[None, start:] * cov
+            upper = ~np.tri(terms.shape[0], terms.shape[1], k=0, dtype=bool)
+            chunks.append(math.fsum(terms[upper].tolist()))
+    return math.fsum((p * p * (q - q2)).tolist()) + 2.0 * math.fsum(chunks)
+
+
+def profile_variance_mpmath(masses: list[float], counts: list[int], n: int) -> float:
+    """Var[M0] for ``counts[g]`` atoms of mass ``masses[g]`` each, in mpmath at
+    50 digits over pairs of groups; O(k^2) for k groups. The masses
+    are taken as the exact binary values of the given floats."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in masses]
+        q = [(1 - v) ** n for v in x]
+        var = mpmath.fsum(c * v * v * (qv - qv * qv) for c, v, qv in zip(counts, x, q))
+        for g, (cg, xg, qg) in enumerate(zip(counts, x, q)):
+            for h, (ch, xh, qh) in enumerate(zip(counts, x, q)):
+                pairs = cg * (ch - 1) if g == h else cg * ch
+                var += pairs * xg * xh * ((1 - xg - xh) ** n - qg * qh)
+        return float(var)
 
 
 def lattice_alpha_max(b: float, grid: int = 2000, c_max: float = 20.0) -> float:

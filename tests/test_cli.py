@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from missingmass import extremal
 from missingmass.cli import main
 
 
@@ -160,6 +162,13 @@ class TestSweepCommand:
         assert out == ""
         assert "b-max" in err
 
+    def test_tiny_ratios_are_finite(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--b-min", "1e-320", "--b-max", "1e-310", "--steps", "3")
+        assert code == 0
+        vals = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert len(vals) == 3
+        assert all(math.isfinite(v) and v > 0.0 for v in vals)
+
     def test_unwritable_exits_4(self, capsys):
         code, _, _ = run(capsys, "sweep", "--b-min", "0.1", "--b-max", "0.2", "--steps", "2", "--out", "/no/dir/s.csv")
         assert code == 4
@@ -204,6 +213,14 @@ class TestLandscapeCommand:
         assert code == 2
         assert out == ""
         assert "c-max" in err
+
+
+    def test_huge_cmax_is_finite(self, capsys):
+        code, out, _ = run(capsys, "landscape", "--c-max", "1e308", "--grid", "3")
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 9
+        assert all(math.isfinite(val) and val >= 0.0 for _, _, val in rows)
 
 
 class TestSimulateCommand:
@@ -275,3 +292,20 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_record_exits_2(self, capsys, monkeypatch, fmt):
+        real = extremal.solve_alpha
+        monkeypatch.setattr(extremal, "solve_alpha", lambda b: dataclasses.replace(real(b), alpha=math.nan))
+        code, out, err = run(capsys, "maximize", "--n", "100", "--m", "20", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_non_finite_row_exits_2_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(extremal, "objective_alpha", lambda w, c: math.inf)
+        out_path = tmp_path / "l.csv"
+        code, _, err = run(capsys, "landscape", "--c-max", "5", "--grid", "3", "--out", str(out_path))
+        assert code == 2
+        assert "non-finite" in err
+        assert not out_path.exists()

@@ -44,6 +44,10 @@ class TestObjective:
     def test_at_transition(self):
         assert objective_alpha(1.0, find_cstar()) == pytest.approx(0.477, abs=1e-3)
 
+    def test_huge_c_does_not_overflow(self):
+        # c^2 overflows and e^{-c} underflows; their product is 0
+        assert objective_alpha(1.0, 1e308) == 0.0
+
     def test_direct_evaluation(self):
         want = -0.25 * math.exp(-2.0) + 0.5 * math.exp(-1.0)
         assert objective_alpha(0.5, 1.0) == pytest.approx(want, abs=1e-12)
@@ -124,9 +128,9 @@ class TestSolveAlpha:
             assert solve_alpha(b).alpha == pytest.approx(want, abs=1e-9)
 
     def test_tiny_ratio_survives_grid_underflow(self):
-        # for tiny b the coarse scan sees only underflowed zeros and the
-        # refinement interval must still slide onto the hump near c = 3
-        for b in (1e-4, 1e-6, 1e-8):
+        # the hump near c = 3 must be found however small b is; below about
+        # 1e-100 a plain evaluation of g_b overflows or underflows
+        for b in (1e-4, 1e-6, 1e-8, 1e-100, 1e-160, 1e-300):
             sol = solve_alpha(b)
             want, _ = scan_branch2_max(b, points=3000000, c_max=30.0)
             assert sol.alpha == pytest.approx(want, rel=1e-9)

@@ -15,7 +15,44 @@ from missingmass import (
     subgamma_v,
     uniform,
 )
-from oracles import enumeration_moments, simplex_grid
+from missingmass.variance import _light_pair_sum
+from oracles import enumeration_moments, pairwise_variance, profile_variance_mpmath, simplex_grid
+
+
+def _zipf(m: int, seed: int = 0) -> np.ndarray:
+    w = 1.0 / np.arange(1, m + 1)
+    return np.random.default_rng(seed).permutation(w / w.sum())
+
+
+def _dirichlet(m: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).dirichlet(np.full(m, 0.1))
+
+
+def _near_uniform(m: int, seed: int = 0) -> np.ndarray:
+    w = 1.0 + 0.1 * np.random.default_rng(seed).random(m)
+    return w / w.sum()
+
+
+SHAPES = {"zipf": _zipf, "dirichlet": _dirichlet, "near_uniform": _near_uniform, "uniform": lambda m: np.full(m, 1.0 / m)}
+
+
+def _light_t(p: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(n) p/(1-p); atoms above 1/2 are heavy."""
+    with np.errstate(divide="ignore"):
+        return math.sqrt(n) * (p / (1.0 - p))
+
+
+def _cancel_scale(d, n: int) -> float:
+    """E[M0]^2 + sum p^2 (1-p)^n: the size of the terms that cancel in Var[M0]."""
+    p = d.probs
+    with np.errstate(divide="ignore"):
+        q = np.exp(n * np.log1p(-p))
+    return expected_missing_mass(d, n) ** 2 + math.fsum((p * p * q).tolist())
+
+
+def _assert_matches_pairwise(d, n: int) -> None:
+    want = pairwise_variance(d.probs, n)
+    assert abs(exact_variance(d, n).value - want) <= 1e-12 * _cancel_scale(d, n)
 
 
 class TestExactVariance:
@@ -59,6 +96,102 @@ class TestExactVariance:
     def test_bad_sample_size(self):
         with pytest.raises(ValueError):
             exact_variance(uniform(2), 0)
+
+
+class TestExactAgainstPairwise:
+    """Heavy rows plus the light series against the plain all-pairs identity,
+    within 1e-12 of E[M0]^2 + sum p^2 q."""
+
+    @pytest.mark.parametrize(
+        "shape, m, n, heavy",
+        [
+            ("near_uniform", 2000, 1000, "none"),
+            ("near_uniform", 2000, 100000, "none"),
+            ("zipf", 1000, 1000, "few"),
+            ("zipf", 1100, 100000, "many"),
+            ("dirichlet", 600, 100000, "many"),
+            ("uniform", 10, 1000, "all"),
+            ("zipf", 300, 1000000, "all"),
+        ],
+    )
+    def test_heavy_counts(self, shape, m, n, heavy):
+        d = from_probs(SHAPES[shape](m), normalize=True)
+        h = int(np.count_nonzero(_light_t(d.probs, n) > 0.5))
+        assert {"none": h == 0, "few": 0 < h <= 10, "many": 50 < h < m, "all": h == m}[heavy]
+        _assert_matches_pairwise(d, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 100000, 1000000])
+    @pytest.mark.parametrize("shape", ["zipf", "dirichlet"])
+    def test_sample_sizes(self, shape, n):
+        _assert_matches_pairwise(from_probs(SHAPES[shape](300), normalize=True), n)
+
+    @pytest.mark.parametrize(
+        "probs, n",
+        [
+            ([0.2] * 5, 4),
+            ([0.6, 0.2, 0.2], 4),
+            ([0.004975124378109453] * 100 + [(1.0 - 100 * 0.004975124378109453) / 1000] * 1000, 10000),
+        ],
+    )
+    def test_atoms_at_the_threshold(self, probs, n):
+        d = from_probs(probs)
+        assert np.any(_light_t(d.probs, n) == 0.5)
+        _assert_matches_pairwise(d, n)
+
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_point_mass_and_zero_mass_atoms(self, n):
+        assert exact_variance(from_probs([0.0, 1.0, 0.0]), n).value == 0.0
+        padded = np.random.default_rng(1).permutation(np.concatenate([_zipf(500), np.zeros(100)]))
+        _assert_matches_pairwise(from_probs(padded), n)
+
+    @pytest.mark.parametrize(
+        "masses, counts, n",
+        [
+            ([(1.0 + d) / 2000 for d in (-0.35, -0.25, -0.15, -0.05, 0.05, 0.15, 0.25, 0.35)], [250] * 8, 1000),
+            ([(1.0 + d) / 2000 for d in (-0.35, -0.25, -0.15, -0.05, 0.05, 0.15, 0.25, 0.35)], [250] * 8, 100000),
+            ([0.1, 0.001], [3, 700], 1000),
+        ],
+    )
+    def test_profile_matches_mpmath(self, masses, counts, n):
+        pytest.importorskip("mpmath")
+        probs = np.random.default_rng(2).permutation(np.repeat(masses, counts))
+        d = from_probs(probs)
+        want = profile_variance_mpmath(masses, counts, n)
+        assert abs(exact_variance(d, n).value - want) <= 1e-12 * _cancel_scale(d, n)
+
+
+class TestLightSeries:
+    def test_truncation_within_stated_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        n = 200
+        rng = np.random.default_rng(3)
+        t = 0.5 - 1e-3 * rng.random(40)  # just below the heavy cut, where the tail is largest
+        a = 1e-2 * rng.random(40)
+        value, terms, bound = _light_pair_sum(a, t, n)
+        assert terms < n
+        assert bound <= 2.0**-53 * 0.5 * math.fsum(a) ** 2  # the stopping rule
+        with mpmath.workdps(40):
+            ma = [mpmath.mpf(x) for x in a]
+            mt = [mpmath.mpf(x) for x in t]
+            full = mpmath.fsum(
+                ma[i] * ma[j] * ((1 - mt[i] * mt[j] / n) ** n - 1) for i in range(40) for j in range(i + 1, 40)
+            )
+            partial = 0
+            for k in range(1, terms + 1):
+                tk = mpmath.fsum(x * y**k for x, y in zip(ma, mt))
+                ek = mpmath.fsum((x * y**k) ** 2 for x, y in zip(ma, mt))
+                partial += (-1) ** k * mpmath.binomial(n, k) / mpmath.mpf(n) ** k * (tk * tk - ek) / 2
+            assert abs(full - partial) <= bound  # the dropped tail
+            assert abs(value - full) <= bound + 1e-15 * abs(full)
+
+    def test_short_series_runs_to_its_last_term(self):
+        a = np.array([0.3, 0.2, 0.1])
+        t = np.array([0.5, 0.4, 0.1])
+        n = 5
+        value, terms, bound = _light_pair_sum(a, t, n)
+        assert (terms, bound) == (n, 0.0)
+        want = sum(a[i] * a[j] * ((1 - t[i] * t[j] / n) ** n - 1) for i in range(3) for j in range(i + 1, 3))
+        assert value == pytest.approx(want, rel=1e-14)
 
 
 class TestThm1:
@@ -124,9 +257,17 @@ class TestSymmetry:
             assert poissonized_variance(perm, n).value == poissonized_variance(d, n).value
             assert expected_missing_mass(perm, n) == expected_missing_mass(d, n)
 
+    @pytest.mark.parametrize("n", [1000, 100000])
+    def test_exact_permutation_invariance_large_alphabet(self, n):
+        d = from_probs(_zipf(5000))
+        for seed in range(3):
+            perm = from_probs(np.random.default_rng(seed).permutation(d.probs))
+            assert exact_variance(perm, n).value == exact_variance(d, n).value
+
 
 class TestProperties:
-    """Random distributions of at most 256 atoms, so the pair sum is one fsum."""
+    """Random distributions of up to 256 atoms. exact_variance sorts the masses
+    first, so atom order leaves it bit-identical at any alphabet size."""
 
     def test_permutation_invariance_and_bounds(self):
         hypothesis = pytest.importorskip("hypothesis")

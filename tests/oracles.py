@@ -3,11 +3,12 @@
 Everything here is deliberately naive: full outcome enumeration and the
 plain all-pairs covariance identity for the variance, a 50-digit mpmath
 evaluation over (mass, multiplicity) groups, dense lattice scans for the
-optimizer. These stay independent of the code paths they check.
+optimizer, one-draw-at-a-time CDF lookups for a Monte-Carlo sample. These stay independent of the code paths they check.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -34,6 +35,17 @@ def enumeration_moments(probs: list[float], n: int) -> tuple[float, float]:
 
 def enumeration_variance(probs: list[float], n: int) -> float:
     return enumeration_moments(probs, n)[1]
+
+
+def per_draw_missing_mass(probs, u_row) -> tuple[set[int], float]:
+    """(unseen atoms, their fsum'd mass) for one sample given its uniforms
+    in draw order. Each draw is looked up on its own in the running-sum CDF:
+    it lands on the first atom whose cumulative mass exceeds it, or on the
+    last atom when rounding leaves the total below the draw."""
+    cdf = list(itertools.accumulate(float(p) for p in probs))
+    seen = {min(bisect.bisect_right(cdf, float(u)), len(cdf) - 1) for u in u_row}
+    unseen = set(range(len(cdf))) - seen
+    return unseen, math.fsum(float(probs[i]) for i in unseen)
 
 
 def pairwise_variance(probs, n: int) -> float:

@@ -244,6 +244,14 @@ class TestSimulateCommand:
         _, out4, _ = run(capsys, *base, "--workers", "4")
         assert out1 == out4
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_2(self, capsys, dist_file, workers):
+        code, out, err = run(
+            capsys, "simulate", "--dist", dist_file("0.5\n0.5\n"), "--n", "2", "--trials", "10", "--workers", workers
+        )
+        assert code == 2
+        assert out == "" and "workers" in err
+
     def test_statistical_value(self, capsys, dist_file):
         path = dist_file("0.5\n0.5\n")
         code, out, _ = run(capsys, "simulate", "--dist", path, "--n", "2", "--trials", "100000", "--seed", "5")

@@ -1,7 +1,8 @@
 """Missing-mass variance toolkit.
 
-Exact and O(1/n^2)-approximate variance of the unseen probability mass,
-the extremal program that maximizes it over all distributions with a
+Exact variance of the unseen probability mass and two closed-form
+approximations of it (see ``missingmass.variance`` for how far they are
+off), the extremal program that maximizes it over all distributions with a
 given alphabet size, Monte-Carlo validation, and concentration-gap
 reports.
 """

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import INFINITE, AlphabetBound, DiscreteDistribution, from_probs, uniform_dirac
+from .dist import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound, DiscreteDistribution, from_probs, uniform_dirac
 from .variance import _require_sample_size
 
 #: Points in the coarse scan that brackets the 1-D maximizer.
@@ -192,7 +192,7 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     count is ceil(k) capped at m-1, falling back to floor(k) whenever the
     ceiling would overshoot total mass 1 (a negative point mass is not a
     distribution). The remainder becomes the point mass, reported as 0
-    below 1e-12.
+    below :data:`~missingmass.dist.DIRAC_OMIT_THRESHOLD`.
     """
     _require_sample_size(n)
     bound = m if isinstance(m, AlphabetBound) else AlphabetBound(m)
@@ -206,6 +206,6 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     if atom_count * p1 > 1.0:
         atom_count = int(min(math.floor(k), cap))
     dirac = 1.0 - atom_count * p1
-    if dirac < 1e-12:
+    if dirac < DIRAC_OMIT_THRESHOLD:
         dirac = 0.0
     return WorstCaseSpec(n=n, atom_count=atom_count, atom_mass=p1, dirac_mass=dirac)

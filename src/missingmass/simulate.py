@@ -43,8 +43,6 @@ BLOCK_BUDGET = 2**14
 """Upper bound on max(n, m) * trials per block."""
 MAX_BLOCK_TRIALS = 1024
 
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
-
 
 @dataclass(frozen=True)
 class SimulationEstimate:
@@ -67,17 +65,6 @@ def _master_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def _stream_state(key: np.ndarray, block: int) -> dict:
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, block, 0], dtype=np.uint64), "key": key},
-        "buffer": _EMPTY_BUFFER,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _unseen_atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(rows, m) mask of the atoms no draw in a row of ``u`` falls on.
 
@@ -94,9 +81,7 @@ def _unseen_atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _trial_block(probs: np.ndarray, cdf: np.ndarray, n: int, key: np.ndarray, block: int, rows: int) -> np.ndarray:
     """Missing mass of the first ``rows`` trials of block ``block``."""
-    bg = np.random.Philox(key=0)
-    bg.state = _stream_state(key, block)
-    u = np.random.Generator(bg).random((rows, n))
+    u = np.random.Generator(np.random.Philox(counter=[0, 0, block, 0], key=key)).random((rows, n))
     return np.where(_unseen_atoms(cdf, u), probs, 0.0).sum(axis=1)
 
 

@@ -10,8 +10,9 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   With u = p/(1-p) and q = (1-p)^n the covariance factorises as
   q q' [(1 - u u')^n - 1]. Atoms with t = sqrt(n) u > 1/2 are *heavy*
   (fewer than 2 sqrt(n) + 1 of them); masses are sorted in descending
-  order, so the heavy atoms are a prefix, and their rows of the pair sum
-  are evaluated term by term against every later column. The light-light
+  order, so the heavy atoms are a prefix. Their rows of the pair sum are
+  evaluated one row at a time, each against its later columns only, so
+  memory stays O(m), and all heavy terms go through one fsum. The light-light
   pairs are the binomial series
   sum_k (-1)^k c_k (T_k^2 - E_k)/2,  c_k = C(n,k)/n^k,
   T_k = sum p q t^k,  E_k = sum (p q t^k)^2,
@@ -23,10 +24,15 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   O(m log m + h m + K m) for h heavy atoms and K terms (K <= 12),
   against m(m-1)/2 pair terms for the plain identity; the cap
   :data:`EXACT_ALPHABET_LIMIT` still applies.
-* ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n,
-  accurate to O(1/n^2).
+* ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n.
 * ``poissonized_variance``: the same shape with e^{-np} in place of
-  (1-p)^n, also O(1/n^2) and friendlier for analysis.
+  (1-p)^n, friendlier for analysis.
+
+Neither approximation is O(1/n^2)-accurate against the exact value. For
+``worst_case_distribution(1000)`` (442 atoms), n times exact Var[M0] is
+0.15535 and a 20 000-trial Monte-Carlo estimate gives 0.1558 (standard
+error 0.0016), while n times thm1 is 0.47628 and n times poissonized is
+0.47736.
 
 Powers are evaluated as exp(n*log1p(-p)) so that p near 0 with large n
 keeps full relative accuracy, and atom sums use compensated summation so
@@ -38,6 +44,7 @@ O(eps log m)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,8 +56,6 @@ from .dist import DiscreteDistribution
 #: exact_variance refuses alphabets beyond this size; the approximations
 #: are the intended tool for large m.
 EXACT_ALPHABET_LIMIT = 20000
-
-_CHUNK_ROWS = 256
 
 #: Atoms with sqrt(n) * p/(1-p) above this are heavy (see the module docstring).
 _HEAVY_T = 0.5
@@ -65,7 +70,7 @@ class VarianceMethod(Enum):
 
 
 class AlphabetTooLargeError(ValueError):
-    """Raised when exact evaluation would exceed the O(m^2) size cap."""
+    """Raised when exact evaluation is asked for more than EXACT_ALPHABET_LIMIT atoms."""
 
 
 @dataclass(frozen=True)
@@ -91,20 +96,6 @@ def _pow_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:
     """(1-p)**exponent via exp(exponent*log1p(-p)); exact 0 at p == 1."""
     with np.errstate(divide="ignore"):
         return np.exp(exponent * np.log1p(-p))
-
-
-def _pairwise_chunk(p: np.ndarray, q: np.ndarray, n: int, start: int, stop: int) -> float:
-    """Covariance contribution of pairs (i, j), start <= i < stop, j > i.
-
-    The chunk's pair terms are reduced with fsum, which is exact.
-    """
-    pi = p[start:stop, None]
-    qi = q[start:stop, None]
-    s = np.minimum(pi + p[None, start:], 1.0)
-    cov = _pow_one_minus(s, n) - qi * q[None, start:]
-    terms = pi * p[None, start:] * cov
-    upper = ~np.tri(terms.shape[0], terms.shape[1], k=0, dtype=bool)
-    return math.fsum(terms[upper].tolist())
 
 
 def _light_pair_sum(a: np.ndarray, t: np.ndarray, n: int) -> tuple[float, int, float]:
@@ -145,9 +136,10 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     """Exact Var[M0]: heavy rows of the pair sum term by term, light pairs by series.
 
     The masses are sorted first, so the result does not depend on atom
-    order. The heavy rows are reduced per fixed row chunk, then across
-    chunks in order; the light series is truncated only below one unit
-    roundoff of its own scale (see the module docstring).
+    order. The heavy rows are built one at a time, so memory is O(m), and
+    all their terms are reduced by one fsum; the light series is truncated
+    only below one unit roundoff of its own scale (see the module
+    docstring).
     """
     _require_sample_size(n)
     m = dist.probs.size
@@ -161,7 +153,11 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     with np.errstate(divide="ignore"):
         t = math.sqrt(n) * (p / (1.0 - p))  # inf at p == 1, a heavy atom
     h = int(np.count_nonzero(t > _HEAVY_T))  # a prefix: t grows with p
-    heavy = math.fsum([_pairwise_chunk(p, q, n, a, min(a + _CHUNK_ROWS, h)) for a in range(0, h, _CHUNK_ROWS)])
+    rows = (
+        (p[i] * p[i + 1 :] * (_pow_one_minus(np.minimum(p[i] + p[i + 1 :], 1.0), n) - q[i] * q[i + 1 :])).tolist()
+        for i in range(h)
+    )
+    heavy = math.fsum(itertools.chain.from_iterable(rows))
     light, _, _ = _light_pair_sum(p[h:] * q[h:], t[h:], n)
     value = _diagonal_variance(p, n) + 2.0 * (heavy + light)
     if -1e-12 < value < 0.0:
@@ -170,7 +166,10 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
 
 
 def approx_variance_thm1(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
-    """O(1/n^2)-accurate approximation -n (sum p^2 q)^2 + n sum p^3 q, q = (1-p)^n.
+    """Theorem-1 approximation -n (sum p^2 q)^2 + n sum p^3 q, q = (1-p)^n.
+
+    Not O(1/n^2)-accurate against ``exact_variance`` (see the module
+    docstring).
 
     Returned unclamped: slightly negative outputs on degenerate inputs are
     informative and must stay visible to regression tests.
@@ -185,6 +184,9 @@ def approx_variance_thm1(dist: DiscreteDistribution, n: int) -> VarianceEstimate
 
 def poissonized_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     """Poissonized approximation -n (sum p^2 e^{-np})^2 + n sum p^3 e^{-np}.
+
+    Not O(1/n^2)-accurate against ``exact_variance`` (see the module
+    docstring).
 
     Each summand p^k e^{-np} is evaluated as exp(k*log(p) - n*p), the
     log-domain form that neither overflows nor loses the small-p regime;

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from missingmass import (
+    EXACT_ALPHABET_LIMIT,
     AlphabetTooLargeError,
     VarianceMethod,
     approx_variance_thm1,
@@ -92,6 +94,20 @@ class TestExactVariance:
         d = uniform(20001)
         with pytest.raises(AlphabetTooLargeError):
             exact_variance(d, 10)
+
+    def test_memory_is_linear_in_alphabet(self):
+        # Zipf at the cap with n = 1e4 has 19 heavy rows and 3.8e5 heavy pair
+        # terms (76 x 8m bytes as Python floats); a row at a time needs only
+        # a few m-length temporaries.
+        m = EXACT_ALPHABET_LIMIT
+        d = from_probs(_zipf(m))
+        tracemalloc.start()
+        try:
+            exact_variance(d, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * m
 
     def test_bad_sample_size(self):
         with pytest.raises(ValueError):

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDistribution
+from .dist import DiscreteDistribution, _compensated_sum
 from .variance import (
     VarianceMethod,
     _diagonal_variance,
-    _fsum,
     _pow_one_minus,
     _require_sample_size,
     exact_variance,
@@ -59,7 +58,7 @@ def subgamma_v(dist: DiscreteDistribution, n: int) -> float:
     _require_sample_size(n)
     p = dist.probs
     q = _pow_one_minus(p, n)
-    return _fsum(p * p * q) + _fsum(p * q) / n
+    return _compensated_sum(p * p * q) + _compensated_sum(p * q) / n
 
 
 def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:

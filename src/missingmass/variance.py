@@ -11,9 +11,10 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   q q' [(1 - u u')^n - 1]. Atoms with t = sqrt(n) u > 1/2 are *heavy*
   (fewer than 2 sqrt(n) + 1 of them); masses are sorted in descending
   order, so the heavy atoms are a prefix. Their rows of the pair sum are
-  evaluated one row at a time, each against its later columns only, so
-  memory stays O(m), and all heavy terms go through one fsum. The light-light
-  pairs are the binomial series
+  evaluated one row at a time, each against its later columns only, and
+  TwoSum-added into two m-length accumulators (column sums and their
+  rounding errors) that the compensated sum reduces once at the end, so
+  memory stays O(m). The light-light pairs are the binomial series
   sum_k (-1)^k c_k (T_k^2 - E_k)/2,  c_k = C(n,k)/n^k,
   T_k = sum p q t^k,  E_k = sum (p q t^k)^2,
   whose k = 1 term is Theorem 1's covariance term -n (sum p^2 q)^2 with
@@ -35,23 +36,23 @@ error 0.0016), while n times thm1 is 0.47628 and n times poissonized is
 0.47736.
 
 Powers are evaluated as exp(n*log1p(-p)) so that p near 0 with large n
-keeps full relative accuracy, and atom sums use compensated summation so
-that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
+keeps full relative accuracy, and atom sums go through the vectorised
+compensated sum ``dist._compensated_sum`` (Sum2 of Ogita, Rump & Oishi),
+so that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
 The light series' T_k and E_k, sums of positive terms over the sorted
 masses, use numpy's pairwise summation instead (relative error
-O(eps log m)).
+O(eps log m)), and its at most 12 terms one ``math.fsum``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dist import DiscreteDistribution
+from .dist import DiscreteDistribution, _compensated_sum, _two_sum
 
 #: exact_variance refuses alphabets beyond this size; the approximations
 #: are the intended tool for large m.
@@ -85,11 +86,6 @@ class VarianceEstimate:
 def _require_sample_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-
-
-def _fsum(values: np.ndarray) -> float:
-    """Compensated (exact) sum of a float64 vector."""
-    return math.fsum(values.tolist())
 
 
 def _pow_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:
@@ -129,15 +125,16 @@ def _light_pair_sum(a: np.ndarray, t: np.ndarray, n: int) -> tuple[float, int, f
 
 def _diagonal_variance(p: np.ndarray, n: int) -> float:
     """sum p^2 ((1-p)^n - (1-p)^{2n}): Var[M0] with every covariance dropped."""
-    return _fsum(p * p * (_pow_one_minus(p, n) - _pow_one_minus(p, 2 * n)))
+    return _compensated_sum(p * p * (_pow_one_minus(p, n) - _pow_one_minus(p, 2 * n)))
 
 
 def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     """Exact Var[M0]: heavy rows of the pair sum term by term, light pairs by series.
 
     The masses are sorted first, so the result does not depend on atom
-    order. The heavy rows are built one at a time, so memory is O(m), and
-    all their terms are reduced by one fsum; the light series is truncated
+    order. The heavy rows are built one at a time and TwoSum-added into
+    two m-length accumulators, so memory is O(m), and both accumulators
+    are reduced by one compensated sum; the light series is truncated
     only below one unit roundoff of its own scale (see the module
     docstring).
     """
@@ -153,11 +150,14 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     with np.errstate(divide="ignore"):
         t = math.sqrt(n) * (p / (1.0 - p))  # inf at p == 1, a heavy atom
     h = int(np.count_nonzero(t > _HEAVY_T))  # a prefix: t grows with p
-    rows = (
-        (p[i] * p[i + 1 :] * (_pow_one_minus(np.minimum(p[i] + p[i + 1 :], 1.0), n) - q[i] * q[i + 1 :])).tolist()
-        for i in range(h)
-    )
-    heavy = math.fsum(itertools.chain.from_iterable(rows))
+    acc = np.zeros((5, m))  # column sums and their errors over rows i < j, then scratch
+    s, e, s_next, z, w = acc
+    for i in range(h):
+        c = slice(i + 1, m)
+        row = p[i] * p[c] * (_pow_one_minus(np.minimum(p[i] + p[c], 1.0), n) - q[i] * q[c])
+        _two_sum(s[c], row, e[c], s_next[c], z[c], w[c])
+        s[c] = s_next[c]
+    heavy = _compensated_sum(acc[:2])
     light, _, _ = _light_pair_sum(p[h:] * q[h:], t[h:], n)
     value = _diagonal_variance(p, n) + 2.0 * (heavy + light)
     if -1e-12 < value < 0.0:
@@ -177,8 +177,8 @@ def approx_variance_thm1(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     _require_sample_size(n)
     p = dist.probs
     q = _pow_one_minus(p, n)
-    a = _fsum(p * p * q)
-    b = _fsum(p * p * p * q)
+    a = _compensated_sum(p * p * q)
+    b = _compensated_sum(p * p * p * q)
     return VarianceEstimate(value=-n * a * a + n * b, method=VarianceMethod.THM1, n=n)
 
 
@@ -196,8 +196,8 @@ def poissonized_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     p = dist.probs
     with np.errstate(divide="ignore"):
         logp = np.log(p)  # p == 0 -> -inf -> exp -> 0
-    a = _fsum(np.exp(2.0 * logp - n * p))
-    b = _fsum(np.exp(3.0 * logp - n * p))
+    a = _compensated_sum(np.exp(2.0 * logp - n * p))
+    b = _compensated_sum(np.exp(3.0 * logp - n * p))
     return VarianceEstimate(value=-n * a * a + n * b, method=VarianceMethod.POISSONIZED, n=n)
 
 
@@ -205,4 +205,4 @@ def expected_missing_mass(dist: DiscreteDistribution, n: int) -> float:
     """E[M0] = sum_s p_s (1-p_s)^n."""
     _require_sample_size(n)
     p = dist.probs
-    return _fsum(p * _pow_one_minus(p, n))
+    return _compensated_sum(p * _pow_one_minus(p, n))

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the library.
 
 Everything here is deliberately naive: full outcome enumeration and the
-plain all-pairs covariance identity for the variance, a 50-digit mpmath
+plain all-pairs covariance identity for the variance, ``math.fsum`` over
+Python floats for compensated sums, a 50-digit mpmath
 evaluation over (mass, multiplicity) groups, dense lattice scans for the
 optimizer, one-draw-at-a-time CDF lookups for a Monte-Carlo sample. These stay independent of the code paths they check.
 """
@@ -46,6 +47,12 @@ def per_draw_missing_mass(probs, u_row) -> tuple[set[int], float]:
     seen = {min(bisect.bisect_right(cdf, float(u)), len(cdf) - 1) for u in u_row}
     unseen = set(range(len(cdf))) - seen
     return unseen, math.fsum(float(probs[i]) for i in unseen)
+
+
+def fsum_reference(x) -> float:
+    """Correctly rounded sum of a float64 vector: math.fsum over its entries
+    as Python floats, sharing no code with the library's vectorised kernel."""
+    return math.fsum(np.asarray(x, dtype=np.float64).ravel().tolist())
 
 
 def pairwise_variance(probs, n: int) -> float:

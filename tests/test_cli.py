@@ -291,10 +291,11 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command", ["variance", "gap"])
     def test_nan_mass_exits_2(self, capsys, dist_file, command):
-        code, out, err = run(capsys, command, "--dist", dist_file("nan\n1.0\n"), "--n", "2")
-        assert code == 2
-        assert out == ""
-        assert "error" in err
+        for masses in ("nan\n1.0\n", "1e308\n1e308\n"):  # a NaN total, an overflowing total
+            code, out, err = run(capsys, command, "--dist", dist_file(masses), "--n", "2")
+            assert code == 2
+            assert out == ""
+            assert "error" in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

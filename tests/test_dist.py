@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from missingmass import (
     uniform,
     uniform_dirac,
 )
+from missingmass.dist import _SUM_WIDTH, _compensated_sum
+from oracles import fsum_reference
 
 
 class TestAlphabetBound:
@@ -53,7 +57,10 @@ class TestFromProbs:
         with pytest.raises(EmptyDistributionError):
             from_probs([])
 
-    @pytest.mark.parametrize("values, normalize", [([np.nan, 1.0], False), ([np.nan, 0.5], True)])
+    @pytest.mark.parametrize(
+        "values, normalize",
+        [([np.nan, 1.0], False), ([np.nan, 0.5], True), ([1e308, 1e308], False), ([1e308, 1e308], True)],
+    )
     def test_nan_rejected(self, values, normalize):
         with pytest.raises(NotNormalizedError):
             from_probs(values, normalize=normalize)
@@ -164,3 +171,73 @@ class TestFromFile:
         f.write_text("0.5\n0.6\n")
         with pytest.raises(NotNormalizedError):
             from_file(f)
+
+
+W = _SUM_WIDTH
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _signed_wide(rng, size: int) -> np.ndarray:
+    """Mixed signs, exponents spread from 1e-300 to 1."""
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 0.0, size)
+
+
+def _cancelling(rng, size: int) -> np.ndarray:
+    """Terms in [-1, 1] with 1e16, 1, -1e16 triples spread through the array:
+    a plain or column-wise float sum loses every 1 of a triple."""
+    x = rng.uniform(-1.0, 1.0, size)
+    slots = rng.permutation(size)[: 3 * (size // 30)].reshape(3, -1)
+    x[slots[0]], x[slots[1]], x[slots[2]] = 1e16, 1.0, -1e16
+    return x
+
+
+def _subnormal(rng, size: int) -> np.ndarray:
+    """Subnormal multiples of the smallest double, a few normal terms mixed in."""
+    x = rng.integers(-(2**20), 2**20, size) * 5e-324
+    x[:: max(1, size // 7)] = 1e-300
+    return x
+
+
+def _heavy_row_terms(rng, size: int) -> np.ndarray:
+    """All negative, like p p' [(1-p-p')^n - q q'] terms of exact_variance."""
+    p = rng.dirichlet(np.full(size, 0.1)) if size else np.empty(0)
+    return -p * p * rng.random(size)
+
+
+INPUTS = {
+    "signed-wide": _signed_wide,
+    "cancelling": _cancelling,
+    "exponents": lambda rng, size: 10.0 ** rng.uniform(-300.0, 0.0, size),
+    "subnormal": _subnormal,
+    "heavy-row": _heavy_row_terms,
+}
+
+
+class TestCompensatedSum:
+    """The vectorised Sum2 kernel against math.fsum over Python floats.
+
+    Bound, fixed before the first run: within one ulp of the correctly rounded
+    sum, plus rows * eps^2 * sum|x| for the rows of the column view (eps the
+    machine epsilon). Below a full row the kernel is that fsum, so equal.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize("size", [0, 1, W - 1, W, W + 1, 2 * W + 1, 10**6])
+    def test_against_fsum(self, kind, size):
+        x = INPUTS[kind](np.random.default_rng(size), size)
+        want = fsum_reference(x)
+        got = _compensated_sum(x)
+        if size < W:
+            assert got == want
+        bound = math.ulp(want) + (size // W) * EPS**2 * fsum_reference(np.abs(x))
+        assert abs(got - want) <= bound
+
+    @pytest.mark.parametrize("size", [3, 3 * W])
+    def test_non_finite_sums_do_not_raise(self, size):
+        big = np.full(size, 1e308)
+        assert _compensated_sum(big) == math.inf
+        assert _compensated_sum(-big) == -math.inf
+        big[1], big[2] = math.inf, -math.inf
+        assert math.isnan(_compensated_sum(big))
+        big[1] = math.nan
+        assert math.isnan(_compensated_sum(big))

@@ -307,6 +307,19 @@ class TestProperties:
 
         check()
 
+    @pytest.mark.parametrize("n", [10, 1000, 10**6])
+    def test_permutation_invariance_on_the_vectorised_path(self, n):
+        # 1e5 atoms fill 48 rows of the compensated sum's column view, which
+        # the draws above never reach. The kernel is within one rounding of
+        # the exact sum, so a permutation could in principle move a result by
+        # one ulp; on these inputs every output is bit-identical.
+        d = from_probs(_zipf(10**5))
+        perm = from_probs(np.random.default_rng(1).permutation(d.probs))
+        for fn in (approx_variance_thm1, poissonized_variance):
+            assert fn(perm, n).value == fn(d, n).value
+        for fn in (expected_missing_mass, subgamma_v, iid_majorization_v):
+            assert fn(perm, n) == fn(d, n)
+
 
 class TestOccupancyMapMaxima:
     """p^k (1-p)^n peaks at k/(k+n); p^k e^{-np} peaks at k/n."""

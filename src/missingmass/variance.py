@@ -7,22 +7,30 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   Var[M0] = sum_s p_s^2 Var[xi_s] + sum_{s != s'} p_s p_s' Cov[xi_s, xi_s']
   with Var[xi_s] = (1-p_s)^n - (1-p_s)^{2n} and
   Cov[xi_s, xi_s'] = (1-p_s-p_s')^n - (1-p_s)^n (1-p_s')^n.
-  With u = p/(1-p) and q = (1-p)^n the covariance factorises as
-  q q' [(1 - u u')^n - 1]. Atoms with t = sqrt(n) u > 1/2 are *heavy*
-  (fewer than 2 sqrt(n) + 1 of them); masses are sorted in descending
-  order, so the heavy atoms are a prefix. Their rows of the pair sum are
-  evaluated one row at a time, each against its later columns only, and
-  TwoSum-added into two m-length accumulators (column sums and their
-  rounding errors) that the compensated sum reduces once at the end, so
-  memory stays O(m). The light-light pairs are the binomial series
-  sum_k (-1)^k c_k (T_k^2 - E_k)/2,  c_k = C(n,k)/n^k,
-  T_k = sum p q t^k,  E_k = sum (p q t^k)^2,
-  whose k = 1 term is Theorem 1's covariance term -n (sum p^2 q)^2 with
-  p/(1-p) in place of p and the s = s' pairs left out, and which ends at
-  k = n. Since t <= 1/2 and c_k <= 1/k!, the terms past K add at most
-  T_0^2/2 * sum_{k>K} 0.25^k/k!; the series stops once that computed
-  bound falls below one unit roundoff of T_0^2/2. Cost
-  O(m log m + h m + K m) for h heavy atoms and K terms (K <= 12),
+  With u = p/(1-p), q = (1-p)^n, a = p q and t = sqrt(n) u the covariance
+  term of a pair is a a' [(1 - t t'/n)^n - 1]. Masses are sorted in
+  descending order, so t descends too, and one rule splits the pairs
+  i < j: a pair with t_i t_j <= 1/4 goes to the binomial series, any
+  other pair is evaluated directly as p p' [(1-p-p')^n - q q']. The
+  series columns of row i are therefore a suffix j >= J_i, and one
+  ``searchsorted`` finds J_i for every row. Only rows with t_i > 1/2
+  (fewer than 2 sqrt(n) + 1 of them) have direct terms; each such row is
+  reduced by the compensated sum on its own, so memory stays O(m). The
+  series is
+  sum_k (-1)^k c_k sum_i a_i t_i^k S_k[J_i],  c_k = C(n,k)/n^k,
+  S_k[j] = sum_{l >= j} a_l t_l^k,
+  whose k = 1 term, with every pair in the series, is Theorem 1's
+  covariance term -n (sum p^2 q)^2 with p/(1-p) in place of p and the
+  s = s' pairs left out, and which ends at k = n. Since t_i t_j <= 1/4
+  and c_k <= 1/k!, the terms past K add at most
+  scale * sum_{k>K} 0.25^k/k!, scale = sum_i a_i S_0[J_i]; the series
+  stops once that computed bound falls below one unit roundoff of scale.
+  Each S_k is a running sum from the last atom, which adds its
+  nonnegative terms smallest first with relative error at most
+  (m-1) eps, eps = 2^-53; since sum_k c_k 0.25^k <= e^{1/4} - 1 and
+  scale <= E[M0]^2/2, rounding moves the series by at most about
+  0.15 m eps E[M0]^2 (3.2e-13 E[M0]^2 at the cap). Cost
+  O(m log m + D + K m) for D direct terms and K series terms (K <= 12),
   against m(m-1)/2 pair terms for the plain identity; the cap
   :data:`EXACT_ALPHABET_LIMIT` still applies.
 * ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n.
@@ -39,9 +47,8 @@ Powers are evaluated as exp(n*log1p(-p)) so that p near 0 with large n
 keeps full relative accuracy, and atom sums go through the vectorised
 compensated sum ``dist._compensated_sum`` (Sum2 of Ogita, Rump & Oishi),
 so that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
-The light series' T_k and E_k, sums of positive terms over the sorted
-masses, use numpy's pairwise summation instead (relative error
-O(eps log m)), and its at most 12 terms one ``math.fsum``.
+The series' suffix sums are plain running sums with the bound above, and
+its at most 12 terms go through one ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -52,14 +59,18 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import DiscreteDistribution, _compensated_sum, _two_sum
+from .dist import DiscreteDistribution, _compensated_sum
 
-#: exact_variance refuses alphabets beyond this size; the approximations
-#: are the intended tool for large m.
+#: exact_variance refuses alphabets beyond this size. For larger m,
+#: iid_majorization_v, Var[M0] with every covariance dropped, bounds it from
+#: above, since the covariances are negative; approx_variance_thm1 and
+#: poissonized_variance are no stand-in, being about 3x the exact value at
+#: worst_case_distribution(1000).
 EXACT_ALPHABET_LIMIT = 20000
 
-#: Atoms with sqrt(n) * p/(1-p) above this are heavy (see the module docstring).
-_HEAVY_T = 0.5
+#: A pair with t_i t_j at most this goes to the series, any other pair is
+#: evaluated term by term (see the module docstring).
+_SERIES_X = 0.25
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -94,33 +105,32 @@ def _pow_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:
         return np.exp(exponent * np.log1p(-p))
 
 
-def _light_pair_sum(a: np.ndarray, t: np.ndarray, n: int) -> tuple[float, int, float]:
-    """sum_{i<j} a_i a_j [(1 - t_i t_j / n)^n - 1] for 0 <= t <= _HEAVY_T.
+def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple[float, int, float]:
+    """sum_i a_i sum_{j >= cut[i]} a_j [(1 - t_i t_j / n)^n - 1] for pairs with t_i t_j <= _SERIES_X.
 
-    Expands the bracket binomially into sum_k (-1)^k c_k (T_k^2 - E_k)/2
-    with c_k = C(n,k)/n^k, T_k = sum a t^k and E_k = sum (a t^k)^2. Returns
-    (value, terms summed, bound on the dropped remainder); the bound is
-    exactly 0 when the series ran to its last term k = n.
+    Expands the bracket binomially into sum_k (-1)^k c_k sum_i a_i t_i^k S_k[cut[i]]
+    with c_k = C(n,k)/n^k and the suffix power sums S_k[j] = sum_{l >= j} a_l t_l^k,
+    each a running sum taken from the end of the array, so for masses in
+    descending order the smallest terms are added first. Returns (value,
+    terms summed, bound on the dropped remainder); the bound is exactly 0
+    when the series ran to its last term k = n.
     """
-    t0 = float(np.sum(a))
-    scale = 0.5 * t0 * t0
-    if scale == 0.0:
-        return 0.0, 0, 0.0
-    x = _HEAVY_T * _HEAVY_T
+    t = np.where(a > 0.0, t, 0.0)  # an atom with a = 0 adds nothing, even at t = inf (p = 1)
+    suffix = np.zeros(a.size + 1)  # suffix[a.size] = 0 closes every row that ends at the last atom
     w = a
     c = 1.0
-    tail = x  # x^(k+1)/(k+1)!: bounds term k+1 relative to scale
-    terms = []
-    for k in range(1, n + 1):
-        c *= (n - k + 1) / (n * k)
-        w = w * t
-        tk = float(np.sum(w))
-        terms.append((-1) ** k * c * 0.5 * (tk * tk - float(np.sum(w * w))))
-        tail *= x / (k + 1)
-        remainder = scale * tail / (1.0 - x / (k + 2))
-        if remainder <= _UNIT_ROUNDOFF * scale:
+    tail = 1.0  # x^(k+1)/(k+1)! with x = _SERIES_X: bounds term k+1 relative to terms[0]
+    terms = []  # terms[0] = sum_i a_i S_0[cut[i]], the scale, is not part of the value
+    for k in range(n + 1):
+        np.cumsum(w[::-1], out=suffix[-2::-1])
+        terms.append((-1) ** k * c * float(np.sum(w * suffix[cut])))
+        tail *= _SERIES_X / (k + 1)
+        remainder = terms[0] * tail / (1.0 - _SERIES_X / (k + 2))
+        if remainder <= _UNIT_ROUNDOFF * terms[0]:  # at k = 0 only for a zero scale
             break
-    return math.fsum(terms), k, (0.0 if k == n else remainder)
+        c *= (n - k) / (n * (k + 1))
+        w = w * t
+    return math.fsum(terms[1:]), k, (0.0 if k == n else remainder)
 
 
 def _diagonal_variance(p: np.ndarray, n: int) -> float:
@@ -129,37 +139,37 @@ def _diagonal_variance(p: np.ndarray, n: int) -> float:
 
 
 def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
-    """Exact Var[M0]: heavy rows of the pair sum term by term, light pairs by series.
+    """Exact Var[M0]: pairs with t_i t_j > 1/4 term by term, all others by one series.
 
     The masses are sorted first, so the result does not depend on atom
-    order. The heavy rows are built one at a time and TwoSum-added into
-    two m-length accumulators, so memory is O(m), and both accumulators
-    are reduced by one compensated sum; the light series is truncated
-    only below one unit roundoff of its own scale (see the module
-    docstring).
+    order. The direct terms are built and compensated-summed one row at a
+    time, so memory is O(m); the series is truncated only below one unit
+    roundoff of its own scale, and its suffix sums' rounding is bounded
+    in the module docstring. Cost O(m log m + D + K m) for D direct terms
+    and K <= 12 series terms.
     """
     _require_sample_size(n)
     m = dist.probs.size
     if m > EXACT_ALPHABET_LIMIT:
         raise AlphabetTooLargeError(
             f"{m} atoms exceeds the exact-mode limit of {EXACT_ALPHABET_LIMIT}; "
-            "use approx_variance_thm1 or poissonized_variance"
+            "iid_majorization_v gives an upper bound on Var[M0] at any size"
         )
     p = np.ascontiguousarray(np.sort(dist.probs)[::-1])
     q = _pow_one_minus(p, n)
-    with np.errstate(divide="ignore"):
-        t = math.sqrt(n) * (p / (1.0 - p))  # inf at p == 1, a heavy atom
-    h = int(np.count_nonzero(t > _HEAVY_T))  # a prefix: t grows with p
-    acc = np.zeros((5, m))  # column sums and their errors over rows i < j, then scratch
-    s, e, s_next, z, w = acc
-    for i in range(h):
-        c = slice(i + 1, m)
+    with np.errstate(divide="ignore", over="ignore"):  # inf at p == 1 and for t_i near 0
+        t = math.sqrt(n) * (p / (1.0 - p))  # descending
+        cut = np.searchsorted(-t, -_SERIES_X / t)  # first j with t_j <= _SERIES_X / t_i
+    first = np.arange(1, m + 1)
+    cut = np.maximum(cut, first)  # the series columns of row i start after i
+    row_sums = []
+    for i in np.flatnonzero(cut > first):  # only rows with t_i > 1/2 have direct terms
+        c = slice(i + 1, cut[i])
         row = p[i] * p[c] * (_pow_one_minus(np.minimum(p[i] + p[c], 1.0), n) - q[i] * q[c])
-        _two_sum(s[c], row, e[c], s_next[c], z[c], w[c])
-        s[c] = s_next[c]
-    heavy = _compensated_sum(acc[:2])
-    light, _, _ = _light_pair_sum(p[h:] * q[h:], t[h:], n)
-    value = _diagonal_variance(p, n) + 2.0 * (heavy + light)
+        row_sums.append(_compensated_sum(row))
+    direct = _compensated_sum(np.array(row_sums))
+    series, _, _ = _pair_series(p * q, t, cut, n)
+    value = _diagonal_variance(p, n) + 2.0 * (direct + series)
     if -1e-12 < value < 0.0:
         value = 0.0  # cancellation noise only; a real negative would be a bug
     return VarianceEstimate(value=value, method=VarianceMethod.EXACT, n=n)

@@ -16,8 +16,9 @@ from missingmass import (
     poissonized_variance,
     subgamma_v,
     uniform,
+    worst_case_distribution,
 )
-from missingmass.variance import _light_pair_sum
+from missingmass.variance import _pair_series
 from oracles import enumeration_moments, pairwise_variance, profile_variance_mpmath, simplex_grid
 
 
@@ -38,8 +39,8 @@ def _near_uniform(m: int, seed: int = 0) -> np.ndarray:
 SHAPES = {"zipf": _zipf, "dirichlet": _dirichlet, "near_uniform": _near_uniform, "uniform": lambda m: np.full(m, 1.0 / m)}
 
 
-def _light_t(p: np.ndarray, n: int) -> np.ndarray:
-    """sqrt(n) p/(1-p); atoms above 1/2 are heavy."""
+def _t(p: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(n) p/(1-p); an atom above 1/2 has pairs evaluated term by term."""
     with np.errstate(divide="ignore"):
         return math.sqrt(n) * (p / (1.0 - p))
 
@@ -96,18 +97,20 @@ class TestExactVariance:
             exact_variance(d, 10)
 
     def test_memory_is_linear_in_alphabet(self):
-        # Zipf at the cap with n = 1e4 has 19 heavy rows and 3.8e5 heavy pair
-        # terms (76 x 8m bytes as Python floats); a row at a time needs only
-        # a few m-length temporaries.
+        # At the cap, Zipf with n = 1e4 has 19 rows with direct terms, and
+        # Dirichlet(0.1) with n = 1e6 has about 3.3e5 direct terms (66 x 8m
+        # bytes as Python floats); a row at a time needs only a few m-length
+        # temporaries.
         m = EXACT_ALPHABET_LIMIT
-        d = from_probs(_zipf(m))
-        tracemalloc.start()
-        try:
-            exact_variance(d, 10**4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 8 * m
+        for probs, n in ((_zipf(m), 10**4), (_dirichlet(m), 10**6)):
+            d = from_probs(probs, normalize=True)
+            tracemalloc.start()
+            try:
+                exact_variance(d, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 8 * m
 
     def test_bad_sample_size(self):
         with pytest.raises(ValueError):
@@ -115,7 +118,7 @@ class TestExactVariance:
 
 
 class TestExactAgainstPairwise:
-    """Heavy rows plus the light series against the plain all-pairs identity,
+    """Direct terms plus the pair series against the plain all-pairs identity,
     within 1e-12 of E[M0]^2 + sum p^2 q."""
 
     @pytest.mark.parametrize(
@@ -132,7 +135,7 @@ class TestExactAgainstPairwise:
     )
     def test_heavy_counts(self, shape, m, n, heavy):
         d = from_probs(SHAPES[shape](m), normalize=True)
-        h = int(np.count_nonzero(_light_t(d.probs, n) > 0.5))
+        h = int(np.count_nonzero(_t(d.probs, n) > 0.5))
         assert {"none": h == 0, "few": 0 < h <= 10, "many": 50 < h < m, "all": h == m}[heavy]
         _assert_matches_pairwise(d, n)
 
@@ -147,11 +150,15 @@ class TestExactAgainstPairwise:
             ([0.2] * 5, 4),
             ([0.6, 0.2, 0.2], 4),
             ([0.004975124378109453] * 100 + [(1.0 - 100 * 0.004975124378109453) / 1000] * 1000, 10000),
+            ([0.2] + [1 / 17] * 13 + [0.8 - 13 / 17], 16),
         ],
     )
     def test_atoms_at_the_threshold(self, probs, n):
+        # some pair sits exactly on the series cut t_i t_j = 1/4: two atoms
+        # at t = 1/2, or t_0 = 1 with t_1 = 1/4 in the last input
         d = from_probs(probs)
-        assert np.any(_light_t(d.probs, n) == 0.5)
+        t = _t(d.probs, n)
+        assert np.any(np.multiply.outer(t, t)[np.triu_indices(t.size, 1)] == 0.25)
         _assert_matches_pairwise(d, n)
 
     @pytest.mark.parametrize("n", [1, 3, 1000])
@@ -160,12 +167,19 @@ class TestExactAgainstPairwise:
         padded = np.random.default_rng(1).permutation(np.concatenate([_zipf(500), np.zeros(100)]))
         _assert_matches_pairwise(from_probs(padded), n)
 
+    @pytest.mark.parametrize("probs, n", [([1.0, 5e-10, 4e-10, 0.0], 3), ([0.0, 4e-10, 1.0, 5e-10], 1000)])
+    def test_unit_mass_atom_beside_tiny_atoms(self, probs, n):
+        # t = inf and a = p q = 0 for the unit atom; its row must add nothing
+        _assert_matches_pairwise(from_probs(probs), n)
+
     @pytest.mark.parametrize(
         "masses, counts, n",
         [
             ([(1.0 + d) / 2000 for d in (-0.35, -0.25, -0.15, -0.05, 0.05, 0.15, 0.25, 0.35)], [250] * 8, 1000),
             ([(1.0 + d) / 2000 for d in (-0.35, -0.25, -0.15, -0.05, 0.05, 0.15, 0.25, 0.35)], [250] * 8, 100000),
             ([0.1, 0.001], [3, 700], 1000),
+            ([(1.0 + d) / 20000 for d in (-0.35, -0.25, -0.15, -0.05, 0.05, 0.15, 0.25, 0.35)], [2500] * 8, 1000),
+            ([(1.0 + d) / 20000 for d in (-0.35, -0.25, -0.15, -0.05, 0.05, 0.15, 0.25, 0.35)], [2500] * 8, 10**6),
         ],
     )
     def test_profile_matches_mpmath(self, masses, counts, n):
@@ -175,38 +189,57 @@ class TestExactAgainstPairwise:
         want = profile_variance_mpmath(masses, counts, n)
         assert abs(exact_variance(d, n).value - want) <= 1e-12 * _cancel_scale(d, n)
 
+    @pytest.mark.parametrize("n, scaled", [(1000, 0.1553505), (10000, 0.1554943)])
+    def test_worst_case_matches_mpmath(self, n, scaled):
+        # n Var[M0] at the poissonized program's maximizer, far below its 0.4774
+        pytest.importorskip("mpmath")
+        spec = worst_case_distribution(n)
+        d = spec.to_distribution()
+        want = profile_variance_mpmath([spec.atom_mass, spec.dirac_mass], [spec.atom_count, 1], n)
+        value = exact_variance(d, n).value
+        assert abs(value - want) <= 1e-12 * _cancel_scale(d, n)
+        assert n * want == pytest.approx(scaled, abs=1e-7)
 
-class TestLightSeries:
+
+def _pair_cut(t: np.ndarray) -> np.ndarray:
+    """For t in descending order, the first j > i with t_i t_j <= 1/4, by brute force."""
+    return np.array([next((j for j in range(i + 1, t.size) if t[i] * t[j] <= 0.25), t.size) for i in range(t.size)])
+
+
+class TestPairSeries:
     def test_truncation_within_stated_bound(self):
         mpmath = pytest.importorskip("mpmath")
         n = 200
         rng = np.random.default_rng(3)
-        t = 0.5 - 1e-3 * rng.random(40)  # just below the heavy cut, where the tail is largest
-        a = 1e-2 * rng.random(40)
-        value, terms, bound = _light_pair_sum(a, t, n)
+        # near-cut pairs, where the tail is largest: t near 1/2 with itself,
+        # and t = 2 with t near 1/8; t = 1 pairs directly with t near 1/2
+        t = np.sort(np.concatenate([[2.0, 1.0], 0.5 - 1e-3 * rng.random(30), 0.125 - 1e-3 * rng.random(8)]))[::-1]
+        a = 1e-2 * rng.random(t.size)
+        cut = _pair_cut(t)
+        pairs = [(i, j) for i in range(t.size) for j in range(cut[i], t.size)]
+        value, terms, bound = _pair_series(a, t, cut, n)
         assert terms < n
-        assert bound <= 2.0**-53 * 0.5 * math.fsum(a) ** 2  # the stopping rule
+        assert bound <= 2.0**-53 * math.fsum(a[i] * a[j] for i, j in pairs)  # the stopping rule
         with mpmath.workdps(40):
             ma = [mpmath.mpf(x) for x in a]
             mt = [mpmath.mpf(x) for x in t]
-            full = mpmath.fsum(
-                ma[i] * ma[j] * ((1 - mt[i] * mt[j] / n) ** n - 1) for i in range(40) for j in range(i + 1, 40)
-            )
+            full = mpmath.fsum(ma[i] * ma[j] * ((1 - mt[i] * mt[j] / n) ** n - 1) for i, j in pairs)
             partial = 0
             for k in range(1, terms + 1):
-                tk = mpmath.fsum(x * y**k for x, y in zip(ma, mt))
-                ek = mpmath.fsum((x * y**k) ** 2 for x, y in zip(ma, mt))
-                partial += (-1) ** k * mpmath.binomial(n, k) / mpmath.mpf(n) ** k * (tk * tk - ek) / 2
+                sk = mpmath.fsum(ma[i] * ma[j] * (mt[i] * mt[j]) ** k for i, j in pairs)
+                partial += (-1) ** k * mpmath.binomial(n, k) / mpmath.mpf(n) ** k * sk
             assert abs(full - partial) <= bound  # the dropped tail
             assert abs(value - full) <= bound + 1e-15 * abs(full)
 
     def test_short_series_runs_to_its_last_term(self):
         a = np.array([0.3, 0.2, 0.1])
-        t = np.array([0.5, 0.4, 0.1])
+        t = np.array([1.0, 0.4, 0.1])  # t_0 t_1 = 0.4: the pair (0, 1) is not in the series
+        cut = _pair_cut(t)
+        assert cut.tolist() == [2, 2, 3]
         n = 5
-        value, terms, bound = _light_pair_sum(a, t, n)
+        value, terms, bound = _pair_series(a, t, cut, n)
         assert (terms, bound) == (n, 0.0)
-        want = sum(a[i] * a[j] * ((1 - t[i] * t[j] / n) ** n - 1) for i in range(3) for j in range(i + 1, 3))
+        want = sum(a[i] * a[j] * ((1 - t[i] * t[j] / n) ** n - 1) for i in range(3) for j in range(cut[i], 3))
         assert value == pytest.approx(want, rel=1e-14)
 
 

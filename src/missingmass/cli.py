@@ -93,7 +93,7 @@ def _cmd_variance(args: argparse.Namespace) -> int:
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
     spec = extremal.worst_case_distribution(args.n, args.m)
-    sol = extremal.solve_alpha(args.m / args.n if math.isfinite(args.m) else dist.INFINITE)
+    sol = spec.solution
     record = {
         "alpha": sol.alpha,
         "w": sol.w,

@@ -9,9 +9,11 @@ For alphabet ratio b = m/n, the leading constant of the maximal variance
 where w is the total mass of a uniform block and c the rescaled atom mass
 (c = p*n). The program reduces to one dimension: above the critical ratio
 1/c* the maximizer is the unconstrained uniform block (w = 1, c = c*),
-below it the alphabet constraint binds and c is found by maximizing
-g_b(c) = -b^2 c^4 e^{-2c} + b c^3 e^{-c} over (0, min(1/b, 4)]. The threshold c*
-is the unique root in (2, 3) of 2 - 2 e^c + c(-2 + e^c) = 0.
+below it the alphabet constraint binds (w = b*c) and c maximizes
+g_b(c) = -b^2 c^4 e^{-2c} + b c^3 e^{-c} over (0, 1/b]. That maximizer is
+min(r, 1/b), where r is the one root in [3, 4) of d/dc log g_b. The
+threshold c* is the unique root in (2, 3) of 2 - 2 e^c + c(-2 + e^c) = 0.
+One bisection finds both roots, to within 1e-13.
 
 ``worst_case_distribution`` rounds the continuous maximizer to an integer
 number of equal atoms plus one point mass; the rounding perturbs the
@@ -25,25 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .dist import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound, DiscreteDistribution, from_probs, uniform_dirac
 from .variance import _require_sample_size
-
-#: Points in the coarse scan that brackets the 1-D maximizer.
-GRID_POINTS = 1000
-
-#: g_b decreases on [SCAN_C_MAX, 1/b]: g_b'(c) = b c^2 e^{-c} [(3 - c) +
-#: b c e^{-c} (2c - 4)], and for c >= 4 the first part is <= -1 while
-#: b c <= 1 bounds the second by 4 e^{-4} < 0.08. So the maximizer lies
-#: in (0, min(1/b, SCAN_C_MAX)] and the scan needs no wider range.
-SCAN_C_MAX = 4.0
-
-#: Bracket width at which golden-section refinement stops.
-GOLDEN_TOL = 1e-10
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class Regime(Enum):
     UNIFORM = "UNIFORM"
@@ -51,7 +36,8 @@ class Regime(Enum):
 
 
 class BracketError(ArithmeticError):
-    """The root bracket for c* has inconsistent signs (arithmetic corruption)."""
+    """A bisection bracket whose ends have the same nonzero sign, so it
+    holds no root (a wrong bracket or corrupted arithmetic)."""
 
 
 class InvalidRatioError(ValueError):
@@ -80,13 +66,15 @@ class WorstCaseSpec:
     ``atom_count`` equal atoms of ``atom_mass`` plus one point mass of
     ``dirac_mass`` (reported as 0 when it vanishes). ``atom_count`` can be 0
     only in the degenerate regime n < c*, where the whole mass collapses
-    onto the point.
+    onto the point: ``atom_mass`` is then 0 and ``dirac_mass`` 1.
+    ``solution`` is the continuous maximizer that was rounded.
     """
 
     n: int
     atom_count: int
     atom_mass: float
     dirac_mass: float
+    solution: ExtremalSolution
 
     def to_distribution(self) -> DiscreteDistribution:
         if self.atom_count == 0:
@@ -98,25 +86,31 @@ def _transition_equation(c: float) -> float:
     return 2.0 - 2.0 * math.exp(c) + c * (-2.0 + math.exp(c))
 
 
-def find_cstar() -> float:
-    """Root of 2 - 2 e^c + c(-2 + e^c) = 0 in [2, 3], to 1e-12.
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``fn`` in [lo, hi] to within 1e-13, by bisection.
 
-    Plain bracketing bisection; the bracket signs are checked first so a
-    corrupted evaluation cannot silently return garbage.
+    The end values are checked first: if they have the same nonzero sign,
+    :class:`BracketError` is raised, so a wrong bracket or a corrupted
+    evaluation cannot silently return garbage. A zero at an end is allowed.
     """
-    lo, hi = 2.0, 3.0
-    flo = _transition_equation(lo)
-    if flo * _transition_equation(hi) >= 0.0:
-        raise BracketError("no sign change on [2, 3]")
+    flo = fn(lo)
+    if flo * fn(hi) > 0.0:
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if flo * _transition_equation(mid) <= 0.0:
+        fmid = fn(mid)
+        if flo * fmid <= 0.0:
             hi = mid
         else:
-            lo, flo = mid, _transition_equation(mid)
+            lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def find_cstar() -> float:
+    """Root of 2 - 2 e^c + c(-2 + e^c) = 0 in [2, 3], to within 1e-13."""
+    return _bisect(_transition_equation, 2.0, 3.0)
 
 
 def objective_alpha(w: float, c: float) -> float:
@@ -131,35 +125,32 @@ def objective_alpha(w: float, c: float) -> float:
     return w * math.exp(2.0 * math.log(c) - c) * (1.0 - w * math.exp(-c))
 
 
-def _golden_section_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Maximizer of ``fn`` on [lo, hi] to within GOLDEN_TOL."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+# Below 1/c* the constraint w = b c binds and c maximizes
+# g_b(c) = b c^3 e^{-c} (1 - b c e^{-c}) over (0, 1/b]. Multiplied by the
+# positive c (1 - b c e^{-c}), d/dc log g_b is
+#     N(c) = (3 - c) + 2 b c e^{-c} (c - 2),
+# and N has exactly one root r, in [3, 4), since b < 1/c* < 0.4420:
+#   - on (0, 2], 3 - c >= 1 while 2 b c e^{-c} (2 - c) <= 0.884 * 0.461 < 0.41
+#     (0.461 is the maximum of c (2 - c) e^{-c});
+#   - on [2, 3] both terms are >= 0, and N > 0 before 3. N(3) = 6 b e^{-3}
+#     underflows to 0 at b = 5e-324, so the bracket check rejects only ends
+#     of the same nonzero sign;
+#   - on [3, 4], N' = -1 + 2 b e^{-c} (4c - c^2 - 2) <= -1 + 0.884 e^{-3} < 0,
+#     and N(4) = -1 + 16 b e^{-4} < 0;
+#   - on [4, 1/b], 3 - c <= -1 while b c <= 1 bounds the second term by
+#     4 e^{-4} < 0.08.
+# So g_b rises up to r and falls after it, and the maximizer is min(r, 1/b).
 
 
 def solve_alpha(b: float) -> ExtremalSolution:
     """Optimal solution of the reduced program for alphabet ratio ``b``.
 
     For b >= 1/c* (or b = INFINITE) the alphabet constraint is slack and
-    the answer is (w=1, c=c*). Otherwise g_b is maximized over
-    (0, min(1/b, SCAN_C_MAX)] with a coarse scan (g_b is smooth but not
-    proven unimodal, so the scan guards against a missed hump) followed by
-    golden-section refinement on the bracketing cell; ties in the scan
-    resolve to the smallest c. Both maximize
-    log g_b(c) - log b = 3 log c - c + log1p(-b c e^{-c}), which has the same
-    maximizer and stays finite for any b > 0, including subnormal b.
+    the answer is (w=1, c=c*). Otherwise w = b c, and c is the root r of
+    d/dc log g_b in [3, 4), found by the bisection that gives c*, to
+    within 1e-13. When 1/b < r the optimum is the corner c = 1/b, w = 1
+    exactly. The sign of the derivative is evaluated in a form that stays
+    finite for any b > 0, including subnormal b.
     """
     if isinstance(b, AlphabetBound):
         b = b.value
@@ -169,18 +160,8 @@ def solve_alpha(b: float) -> ExtremalSolution:
     if b >= 1.0 / cstar:
         c, w, regime = cstar, 1.0, Regime.UNIFORM
     else:
-        cap = min(1.0 / b, SCAN_C_MAX)
-
-        def log_g(c: float) -> float:
-            return 3.0 * math.log(c) - c + math.log1p(-b * c * math.exp(-c))
-
-        grid = np.linspace(0.0, cap, GRID_POINTS + 1)[1:]
-        vals = 3.0 * np.log(grid) - grid + np.log1p(-b * grid * np.exp(-grid))
-        i = int(np.argmax(vals))  # first occurrence, i.e. smallest c on ties
-        lo = grid[i - 1] if i > 0 else 0.0
-        hi = grid[i + 1] if i + 1 < grid.size else cap
-        c = _golden_section_max(log_g, lo, hi)
-        w = b * c
+        root = _bisect(lambda c: 3.0 - c + 2.0 * b * c * math.exp(-c) * (c - 2.0), 3.0, 4.0)
+        c, w = (1.0 / b, 1.0) if 1.0 / b < root else (root, b * root)
         regime = Regime.UNIFORM_DIRAC
     return ExtremalSolution(alpha=objective_alpha(w, c), w=w, c=c, regime=regime, b=b)
 
@@ -192,7 +173,8 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     count is ceil(k) capped at m-1, falling back to floor(k) whenever the
     ceiling would overshoot total mass 1 (a negative point mass is not a
     distribution). The remainder becomes the point mass, reported as 0
-    below :data:`~missingmass.dist.DIRAC_OMIT_THRESHOLD`.
+    below :data:`~missingmass.dist.DIRAC_OMIT_THRESHOLD`. With no atom
+    (n < c*) ``atom_mass`` is 0, not p1.
     """
     _require_sample_size(n)
     bound = m if isinstance(m, AlphabetBound) else AlphabetBound(m)
@@ -208,4 +190,5 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     dirac = 1.0 - atom_count * p1
     if dirac < DIRAC_OMIT_THRESHOLD:
         dirac = 0.0
-    return WorstCaseSpec(n=n, atom_count=atom_count, atom_mass=p1, dirac_mass=dirac)
+    atom_mass = p1 if atom_count else 0.0
+    return WorstCaseSpec(n=n, atom_count=atom_count, atom_mass=atom_mass, dirac_mass=dirac, solution=sol)

@@ -34,10 +34,6 @@ def enumeration_moments(probs: list[float], n: int) -> tuple[float, float]:
     return em, em2 - em * em
 
 
-def enumeration_variance(probs: list[float], n: int) -> float:
-    return enumeration_moments(probs, n)[1]
-
-
 def per_draw_missing_mass(probs, u_row) -> tuple[set[int], float]:
     """(unseen atoms, their fsum'd mass) for one sample given its uniforms
     in draw order. Each draw is looked up on its own in the running-sum CDF:

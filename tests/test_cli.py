@@ -93,6 +93,14 @@ class TestMaximizeCommand:
         assert record["regime"] == "UNIFORM_DIRAC"
         assert record["w"] == pytest.approx(0.61, abs=1e-2)
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_point_mass_below_cstar(self, capsys, n):
+        code, out, _ = run(capsys, "maximize", "--n", n, "--m", "inf")
+        assert code == 0
+        record = json.loads(out)
+        assert list(record) == ["alpha", "w", "c", "regime", "atom_count", "atom_mass", "dirac_mass", "variance_estimate"]
+        assert (record["atom_count"], record["atom_mass"], record["dirac_mass"]) == (0, 0.0, 1.0)
+
     def test_degenerate_alphabet_exits_2(self, capsys):
         code, _, _ = run(capsys, "maximize", "--n", "100", "--m", "1")
         assert code == 2

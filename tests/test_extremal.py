@@ -6,6 +6,7 @@ import pytest
 from missingmass import (
     INFINITE,
     AlphabetBound,
+    BracketError,
     InvalidAlphabetError,
     InvalidRatioError,
     Regime,
@@ -16,7 +17,7 @@ from missingmass import (
     solve_alpha,
     worst_case_distribution,
 )
-from missingmass.extremal import _transition_equation
+from missingmass.extremal import _bisect, _transition_equation
 from oracles import lattice_alpha_max, scan_branch2_max
 
 
@@ -34,6 +35,11 @@ class TestFindCstar:
         # algebraic: 2 - 2e^2 + 2(e^2 - 2) = -2, and f(3) = e^3 - 4
         assert _transition_equation(2.0) == -2.0
         assert _transition_equation(3.0) == pytest.approx(math.exp(3) - 4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_same_sign_bracket_raises(self, sign):
+        with pytest.raises(BracketError):
+            _bisect(lambda c: sign * (c * c + 1.0), -1.0, 1.0)
 
 
 class TestObjective:
@@ -136,6 +142,39 @@ class TestSolveAlpha:
             assert sol.alpha == pytest.approx(want, rel=1e-9)
             assert sol.c == pytest.approx(3.0, abs=1e-3)
 
+    def test_subnormal_ratio(self):
+        # N(3) = 6 b e^{-3} underflows to 0, which must still count as a bracket
+        assert abs(solve_alpha(5e-324).c - 3.0) <= 1e-12
+
+    @pytest.mark.parametrize("b", [0.36, 0.4, 0.41, 0.44])
+    def test_corner_is_exact(self, b):
+        # b * (1/b) rounds below 1 at 0.36 and 0.41
+        sol = solve_alpha(b)
+        assert sol.c == 1.0 / b
+        assert sol.w == 1.0
+
+    def test_matches_mpmath_maximizer(self):
+        # the oracle maximizes log g_b(c) = 3 log c - c + log(1 - b c e^{-c})
+        # (up to log b) over (0, 1/b] with mpmath's own numeric derivative:
+        # the stationary point near 3 or the corner 1/b, whichever is higher
+        mpmath = pytest.importorskip("mpmath")
+        ratios = np.concatenate([np.geomspace(1e-300, 0.2, 25), np.linspace(0.25, 0.44, 20), [1.0 / find_cstar() - 1e-6]])
+        for b in ratios.tolist():
+            with mpmath.workdps(50):
+                bb = mpmath.mpf(b)
+
+                def log_g(c):
+                    return 3 * mpmath.log(c) - c + mpmath.log1p(-bb * c * mpmath.exp(-c))
+
+                stationary = mpmath.findroot(lambda c: mpmath.diff(log_g, c), mpmath.mpf(3.5))
+                c = max((x for x in (stationary, 1 / bb) if x <= 1 / bb), key=log_g)
+                w = min(bb * c, mpmath.mpf(1))
+                want_c = float(c)
+                want_alpha = float(w * c * c * mpmath.exp(-c) * (1 - w * mpmath.exp(-c)))
+            sol = solve_alpha(b)
+            assert abs(sol.c - want_c) <= 1e-12 * want_c, b
+            assert abs(sol.alpha - want_alpha) <= 1e-14 * want_alpha, b
+
     def test_accepts_alphabet_bound_ratio(self):
         assert solve_alpha(AlphabetBound(INFINITE)).alpha == solve_alpha(INFINITE).alpha
 
@@ -162,6 +201,18 @@ class TestWorstCase:
         assert math.fsum(d.probs.tolist()) == pytest.approx(1.0, abs=1e-9)
         if isinstance(m, int):
             assert d.support_size <= m
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_point_mass_below_cstar(self, n):
+        # n < c*: no atom fits, so the spec is the point mass [1.0]
+        spec = worst_case_distribution(n, INFINITE)
+        assert (spec.atom_count, spec.atom_mass, spec.dirac_mass) == (0, 0.0, 1.0)
+        assert spec.to_distribution().probs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n,m", [(1000, INFINITE), (100, 20), (1, 2)])
+    def test_carries_its_solution(self, n, m):
+        b = INFINITE if not math.isfinite(m) else m / n
+        assert worst_case_distribution(n, m).solution == solve_alpha(b)
 
     def test_alphabet_bound_type(self):
         spec = worst_case_distribution(100, AlphabetBound(20))

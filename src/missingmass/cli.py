@@ -18,7 +18,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +52,13 @@ def _fmt(x: object) -> str:
     return str(x)
 
 
-def _write_out(text: str, out: str | None) -> int:
+def _emit(header: Sequence[str], rows: Iterable[Sequence[object]], fmt: str, out: str | None) -> int:
+    """Write ``rows`` under ``header`` as CSV, or one row as a flat JSON object."""
+    if fmt == "json":
+        (row,) = rows
+        text = json.dumps(dict(zip(header, row)), allow_nan=False) + "\n"
+    else:
+        text = "".join(",".join(map(_fmt, line)) + "\n" for line in (header, *rows))
     if out is None or out == "-":
         sys.stdout.write(text)
         return EXIT_OK
@@ -63,16 +69,6 @@ def _write_out(text: str, out: str | None) -> int:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
-
-
-def _emit_record(record: dict, fmt: str, out: str | None) -> int:
-    if fmt == "json":
-        text = json.dumps(record, allow_nan=False) + "\n"
-    else:
-        header = ",".join(record)
-        row = ",".join(_fmt(v) for v in record.values())
-        text = header + "\n" + row + "\n"
-    return _write_out(text, out)
 
 
 def _parse_alphabet(raw: str) -> float:
@@ -88,7 +84,7 @@ def _cmd_variance(args: argparse.Namespace) -> int:
     method, fn = _METHODS[args.method]
     d = dist.from_file(args.dist)
     est = fn(d, args.n)
-    return _emit_record({"method": method.value, "n": args.n, "value": est.value}, args.format, args.out)
+    return _emit(("method", "n", "value"), [(method.value, args.n, est.value)], args.format, args.out)
 
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
@@ -104,7 +100,7 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
         "dirac_mass": spec.dirac_mass,
         "variance_estimate": sol.alpha / args.n,
     }
-    return _emit_record(record, args.format, args.out)
+    return _emit(record.keys(), [record.values()], args.format, args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -116,11 +112,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         bs = np.geomspace(args.b_min, args.b_max, args.steps)
     else:
         bs = np.linspace(args.b_min, args.b_max, args.steps)
-    lines = ["b,val"]
-    for b in bs:
-        sol = extremal.solve_alpha(float(b))
-        lines.append(f"{_fmt(float(b))},{_fmt(sol.alpha)}")
-    return _write_out("\n".join(lines) + "\n", args.out)
+    rows = [(float(b), extremal.solve_alpha(float(b)).alpha) for b in bs]
+    return _emit(("b", "val"), rows, "csv", args.out)
 
 
 def _cmd_landscape(args: argparse.Namespace) -> int:
@@ -130,24 +123,22 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
         raise ValueError(f"grid must be at least 2, got {args.grid}")
     ws = np.linspace(0.0, 1.0, args.grid)
     cs = np.linspace(0.0, args.c_max, args.grid + 1)[1:]
-    lines = ["w,c,val"]
-    for w in ws:
-        for c in cs:
-            lines.append(f"{_fmt(float(w))},{_fmt(float(c))},{_fmt(extremal.objective_alpha(float(w), float(c)))}")
-    return _write_out("\n".join(lines) + "\n", args.out)
+    rows = [(w, c, extremal.objective_alpha(w, c)) for w in ws.tolist() for c in cs.tolist()]
+    return _emit(("w", "c", "val"), rows, "csv", args.out)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     d = dist.from_file(args.dist)
     est = simulate.estimate_variance(d, args.n, args.trials, args.seed, workers=args.workers)
-    return _emit_record(dataclasses.asdict(est), args.format, args.out)
+    record = dataclasses.asdict(est)
+    return _emit(record.keys(), [record.values()], args.format, args.out)
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
     d = dist.from_file(args.dist)
     report = gap_report(d, args.n, _METHODS[args.mode][0])
     record = {**dataclasses.asdict(report), "mode": report.mode.value}  # keeps the field order
-    return _emit_record(record, args.format, args.out)
+    return _emit(record.keys(), [record.values()], args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

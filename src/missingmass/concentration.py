@@ -17,7 +17,6 @@ gap_subgamma = -1.4e-4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,8 @@ def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
     pairwise part, so it upper-bounds the true variance.
     """
     _require_sample_size(n)
-    return _diagonal_variance(dist.probs, n)
+    p = dist.probs
+    return _diagonal_variance(p, _pow_one_minus(p, n), n)
 
 
 def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = VarianceMethod.EXACT) -> GapReport:
@@ -92,28 +92,28 @@ def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = Varian
     )
 
 
-def max_subgamma_uniform_dirac(n: int, max_atoms: int | None = None, w_steps: int = 201) -> SubgammaSearchResult:
+def max_subgamma_uniform_dirac(n: int, max_atoms: int | None = None) -> SubgammaSearchResult:
     """Numerically maximize n*subgamma_v over k equal atoms plus one point mass.
 
-    Best-effort scan: k runs over a log-spaced integer grid up to
-    ``max_atoms`` (default 50*n) and the uniform-block mass w over [0, 1].
-    The scaled factor keeps growing as the atoms get finer (it approaches 1
-    when k -> infinity with w = 1), so the reported maximum is a property
-    of the searched range, not a universal constant.
+    Best-effort scan of the uniform-block mass w over 201 evenly spaced
+    points of [0, 1], with the block split into k = ``max_atoms`` (default
+    50*n) atoms of mass w/k and the point mass 1 - w. No smaller k does
+    better: n*v sums p h(p) over the atoms, h(p) = (1-p)^n (1 + n p), and
+    h'(p) = -n(n+1) p (1-p)^{n-1} <= 0, so h falls as p grows. A block of k
+    atoms adds w h(w/k), which grows with k, so for every w the finest
+    allowed block is best. The scaled factor keeps growing as the atoms get
+    finer (it approaches 1 when k -> infinity with w = 1), so the reported
+    maximum is a property of the searched range, not a universal constant.
     """
     _require_sample_size(n)
-    if max_atoms is None:
-        max_atoms = 50 * n
-    ks = np.unique(np.geomspace(1, max_atoms, num=200).astype(np.int64))
-    ws = np.linspace(0.0, 1.0, w_steps)
-    best = SubgammaSearchResult(scaled_value=-math.inf, atom_count=1, uniform_mass=0.0)
-    for k in ks:
-        p = ws / k
-        d = 1.0 - ws
-        q = _pow_one_minus(np.minimum(p, 1.0), n)
-        qd = _pow_one_minus(d, n)
-        v = k * p * p * q + d * d * qd + (k * p * q + d * qd) / n
-        i = int(np.argmax(v))
-        if n * v[i] > best.scaled_value:
-            best = SubgammaSearchResult(scaled_value=float(n * v[i]), atom_count=int(k), uniform_mass=float(ws[i]))
-    return best
+    k = int(50 * n if max_atoms is None else max_atoms)
+    if k < 1:
+        raise ValueError(f"max_atoms must be at least 1, got {max_atoms!r}")
+    ws = np.linspace(0.0, 1.0, 201)
+    p = ws / k
+    d = 1.0 - ws
+    q = _pow_one_minus(p, n)
+    qd = _pow_one_minus(d, n)
+    v = k * p * p * q + d * d * qd + (k * p * q + d * qd) / n
+    i = int(np.argmax(v))
+    return SubgammaSearchResult(scaled_value=float(n * v[i]), atom_count=k, uniform_mass=float(ws[i]))

@@ -111,7 +111,9 @@ class DiscreteDistribution:
 
     def __post_init__(self) -> None:
         arr = np.array(self.probs, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
+        if arr.ndim != 1:
+            raise DistributionError(f"masses must form a 1-D vector, got shape {arr.shape}")
+        if arr.size == 0:
             raise EmptyDistributionError("a distribution needs at least one atom")
         if np.any(arr < 0.0):
             raise NegativeMassError(f"negative mass: min entry {arr.min()!r}")
@@ -150,13 +152,17 @@ class AlphabetBound:
 
 
 def from_probs(values: Iterable[float], normalize: bool = False) -> DiscreteDistribution:
-    """Build a distribution from raw masses, optionally rescaling to sum 1."""
+    """Build a distribution from raw masses, optionally rescaling to sum 1.
+
+    The masses must form a 1-D vector; :class:`DiscreteDistribution`
+    checks that and their signs.
+    """
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=np.float64)
     if arr.size == 0:
         raise EmptyDistributionError("no masses supplied")
-    if np.any(arr < 0.0):
-        raise NegativeMassError(f"negative mass: min entry {arr.min()!r}")
     if normalize:
+        if np.any(arr < 0.0):  # checked before dividing: [-1, -1] would normalize to [0.5, 0.5]
+            raise NegativeMassError(f"negative mass: min entry {arr.min()!r}")
         total = _compensated_sum(arr)
         if not math.isfinite(total):  # dividing by it would zero or NaN every mass
             raise NotNormalizedError(f"masses sum to {total!r}, which cannot be normalized")

@@ -108,9 +108,16 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+#: c*, solved once, at import.
+_CSTAR = _bisect(_transition_equation, 2.0, 3.0)
+
+
 def find_cstar() -> float:
-    """Root of 2 - 2 e^c + c(-2 + e^c) = 0 in [2, 3], to within 1e-13."""
-    return _bisect(_transition_equation, 2.0, 3.0)
+    """Root of 2 - 2 e^c + c(-2 + e^c) = 0 in [2, 3], to within 1e-13.
+
+    The root is solved once, at import; every call returns that value.
+    """
+    return _CSTAR
 
 
 def objective_alpha(w: float, c: float) -> float:

@@ -133,9 +133,9 @@ def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple
     return math.fsum(terms[1:]), k, (0.0 if k == n else remainder)
 
 
-def _diagonal_variance(p: np.ndarray, n: int) -> float:
-    """sum p^2 ((1-p)^n - (1-p)^{2n}): Var[M0] with every covariance dropped."""
-    return _compensated_sum(p * p * (_pow_one_minus(p, n) - _pow_one_minus(p, 2 * n)))
+def _diagonal_variance(p: np.ndarray, q: np.ndarray, n: int) -> float:
+    """sum p^2 (q - (1-p)^{2n}) with q = (1-p)^n: Var[M0] with every covariance dropped."""
+    return _compensated_sum(p * p * (q - _pow_one_minus(p, 2 * n)))
 
 
 def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
@@ -169,7 +169,7 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
         row_sums.append(_compensated_sum(row))
     direct = _compensated_sum(np.array(row_sums))
     series, _, _ = _pair_series(p * q, t, cut, n)
-    value = _diagonal_variance(p, n) + 2.0 * (direct + series)
+    value = _diagonal_variance(p, q, n) + 2.0 * (direct + series)
     if -1e-12 < value < 0.0:
         value = 0.0  # cancellation noise only; a real negative would be a bug
     return VarianceEstimate(value=value, method=VarianceMethod.EXACT, n=n)

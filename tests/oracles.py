@@ -127,3 +127,23 @@ def simplex_grid(atoms: int, step_parts: int = 10) -> list[list[float]]:
         parts = [cuts[0]] + [cuts[i] - cuts[i - 1] for i in range(1, atoms - 1)] + [step_parts - cuts[-1]]
         out.append([p / step_parts for p in parts])
     return out
+
+
+def subgamma_family_scan(n: int, max_atoms: int) -> tuple[float, int, float]:
+    """(max of n*subgamma_v, k, w) over k equal atoms of mass w/k plus a point
+    mass 1 - w: every k of a 200-point log-spaced grid up to ``max_atoms``,
+    each against 201 evenly spaced w in [0, 1]; the first best point wins."""
+    ks = np.unique(np.geomspace(1, max_atoms, num=200).astype(np.int64))
+    ws = np.linspace(0.0, 1.0, 201)
+    best = (-math.inf, 1, 0.0)
+    with np.errstate(divide="ignore"):
+        for k in ks:
+            p = ws / k
+            d = 1.0 - ws
+            q = np.exp(n * np.log1p(-p))
+            qd = np.exp(n * np.log1p(-d))
+            v = k * p * p * q + d * d * qd + (k * p * q + d * qd) / n
+            i = int(np.argmax(v))
+            if n * v[i] > best[0]:
+                best = (float(n * v[i]), int(k), float(ws[i]))
+    return best

@@ -293,6 +293,27 @@ class TestGapCommand:
         assert json.loads(out)["mode"] == "poissonized"
 
 
+class TestRecordFormats:
+    @pytest.mark.parametrize("command", ["maximize", "simulate", "gap"])
+    def test_csv_matches_json(self, capsys, dist_file, command):
+        path = dist_file("0.5\n0.3\n0.2\n")
+        args = {
+            "maximize": ["--n", "1000", "--m", "300"],
+            "simulate": ["--dist", path, "--n", "10", "--trials", "200", "--seed", "3"],
+            "gap": ["--dist", path, "--n", "10"],
+        }[command]
+        code, out, _ = run(capsys, command, *args, "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        code, out, _ = run(capsys, command, *args, "--format", "csv")
+        assert code == 0
+        header, row, end = out.split("\n")
+        assert end == ""
+        assert header.split(",") == list(record)
+        for raw, value in zip(row.split(","), record.values(), strict=True):
+            assert type(value)(raw) == value
+
+
 class TestExitCodeContract:
     def test_success_is_zero(self, capsys, dist_file):
         assert run(capsys, "variance", "--dist", dist_file("1.0\n"), "--n", "1")[0] == 0

@@ -15,7 +15,7 @@ from missingmass import (
     uniform_dirac,
     worst_case_distribution,
 )
-from oracles import simplex_grid
+from oracles import simplex_grid, subgamma_family_scan
 
 
 class TestSubgammaV:
@@ -108,3 +108,16 @@ class TestSubgammaSearch:
         assert 0.0 <= best.uniform_mass <= 1.0
         # the factor keeps growing with finer atoms; the family cap binds
         assert best.scaled_value <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 10**4, 10**5])
+    def test_matches_scan_over_every_block_size(self, n):
+        # w h(w/k) grows with k (see the docstring), so the one-k scan finds the k x w scan's value and w
+        for max_atoms in (1, 2, 10, 1000, 10**5, 10**6, None):
+            best = max_subgamma_uniform_dirac(n, max_atoms)
+            value, _, w = subgamma_family_scan(n, 50 * n if max_atoms is None else max_atoms)
+            assert (best.scaled_value, best.uniform_mass) == (value, w)
+
+    @pytest.mark.parametrize("max_atoms", [0, -5, 0.5])
+    def test_rejects_empty_block(self, max_atoms):
+        with pytest.raises(ValueError, match="max_atoms"):
+            max_subgamma_uniform_dirac(10, max_atoms)

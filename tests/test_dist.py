@@ -53,9 +53,29 @@ class TestFromProbs:
         with pytest.raises(NegativeMassError):
             from_probs([1.5, -0.5])
 
+    def test_negative_before_normalizing(self):
+        for values in ([-1.0, -1.0], [1.5, -0.5]):
+            with pytest.raises(NegativeMassError):
+                from_probs(values, normalize=True)
+
     def test_empty(self):
         with pytest.raises(EmptyDistributionError):
             from_probs([])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_probs([[0.5, 0.5]]),
+            lambda: from_probs([[0.5, 0.5]], normalize=True),
+            lambda: from_probs(np.array(0.5)),
+            lambda: DiscreteDistribution(np.array([[0.5, 0.5]])),
+        ],
+        ids=["nested", "nested-normalized", "zero-d", "direct-2-d"],
+    )
+    def test_not_one_dimensional(self, build):
+        with pytest.raises(DistributionError, match="shape") as info:
+            build()
+        assert not isinstance(info.value, EmptyDistributionError)
 
     @pytest.mark.parametrize(
         "values, normalize",

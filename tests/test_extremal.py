@@ -17,6 +17,7 @@ from missingmass import (
     solve_alpha,
     worst_case_distribution,
 )
+from missingmass import extremal
 from missingmass.extremal import _bisect, _transition_equation
 from oracles import lattice_alpha_max, scan_branch2_max
 
@@ -40,6 +41,18 @@ class TestFindCstar:
     def test_same_sign_bracket_raises(self, sign):
         with pytest.raises(BracketError):
             _bisect(lambda c: sign * (c * c + 1.0), -1.0, 1.0)
+
+    def test_solved_once(self, monkeypatch):
+        assert find_cstar().hex() == _bisect(_transition_equation, 2.0, 3.0).hex() == (2.262810129196936).hex()
+
+        def fail(c):
+            raise AssertionError("c* solved again")
+
+        monkeypatch.setattr(extremal, "_transition_equation", fail)
+        find_cstar()
+        solve_alpha(0.2)
+        solve_alpha(INFINITE)
+        worst_case_distribution(1000, 300)
 
 
 class TestObjective:

@@ -52,30 +52,43 @@ def _compensated_sum(x: np.ndarray) -> float:
 
     Sum2 of Ogita, Rump & Oishi (2005, "Accurate sum and dot product"): the
     leading rows of :data:`_SUM_WIDTH` terms are added down the columns of
-    one accumulator by a cascaded TwoSum, vectorised across the columns,
-    and the column sums, the column errors and the leftover tail go
-    through one ``math.fsum``. The result is within one rounding of the
-    exact sum plus gamma_rows^2 * sum|x|, gamma_k = k eps / (1 - k eps)
-    (their bound for Sum2, applied per column); the tests hold it to one
-    ulp plus rows * eps^2 * sum|x|. With no full row it is ``math.fsum``
-    over the entries. Memory is O(_SUM_WIDTH) beyond the input. A
-    non-finite entry or an overflowing sum gives the plain numpy sum, inf
-    or NaN, not an exception.
+    one accumulator by a cascaded TwoSum, vectorised across the columns;
+    one more TwoSum adds the leftover tail into the first columns. The
+    columns are then folded in half log2(_SUM_WIDTH) = 11 times by the
+    same vectorised TwoSum, the column errors are added along the same
+    halvings, and the result is s[0] + e[0]. Every term thus passes
+    through at most rows + 12 TwoSums, and their argument for Sum2, with
+    that depth in place of the term count, puts the result within one
+    rounding of the exact sum plus gamma_{rows+12}^2 * sum|x|,
+    gamma_k = k eps / (1 - k eps); the tests hold it to one ulp plus
+    rows * eps^2 * sum|x|. With no full row it is ``math.fsum`` over the
+    entries. Memory is O(_SUM_WIDTH) beyond the input, and the cost past
+    the column pass is a fixed 12 vectorised TwoSums. A non-finite entry
+    or an overflowing sum gives the plain numpy sum, inf or NaN, not an
+    exception.
     """
     x = np.ravel(x)
-    rows = x.size // _SUM_WIDTH
-    parts = x[rows * _SUM_WIDTH :].tolist()
+    rows, k = divmod(x.size, _SUM_WIDTH)
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows:
+        if not rows:
+            try:
+                total = math.fsum(x.tolist())
+            except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
+                total = math.nan
+        else:
             s, e, t, z, w = np.zeros((5, _SUM_WIDTH))
             for row in x[: rows * _SUM_WIDTH].reshape(rows, _SUM_WIDTH):
                 _two_sum(s, row, e, t, z, w)
                 s, t = t, s
-            parts += s.tolist() + e.tolist()
-        try:
-            total = math.fsum(parts)
-        except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
-            total = math.nan
+            _two_sum(s[:k], x[rows * _SUM_WIDTH :], e[:k], t[:k], z[:k], w[:k])
+            s[:k] = t[:k]
+            width = _SUM_WIDTH
+            while width > 1:
+                width //= 2
+                np.add(e[:width], e[width : 2 * width], out=e[:width])
+                _two_sum(s[:width], s[width : 2 * width], e[:width], t[:width], z[:width], w[:width])
+                s, t = t, s
+            total = float(s[0] + e[0])
         return total if math.isfinite(total) else float(np.sum(x))
 
 

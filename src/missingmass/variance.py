@@ -14,9 +14,11 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   other pair is evaluated directly as p p' [(1-p-p')^n - q q']. The
   series columns of row i are therefore a suffix j >= J_i, and one
   ``searchsorted`` finds J_i for every row. Only rows with t_i > 1/2
-  (fewer than 2 sqrt(n) + 1 of them) have direct terms; each such row is
-  reduced by the compensated sum on its own, so memory stays O(m). The
-  series is
+  (fewer than 2 sqrt(n) + 1 of them) have direct terms. These are
+  numbered row after row and evaluated in flat buffers of at most
+  max(m, 2^14) terms, each reduced by one compensated sum, so memory
+  stays O(m) and the Python-level calls grow with the buffers, not the
+  rows. The series is
   sum_k (-1)^k c_k sum_i a_i t_i^k S_k[J_i],  c_k = C(n,k)/n^k,
   S_k[j] = sum_{l >= j} a_l t_l^k,
   whose k = 1 term, with every pair in the series, is Theorem 1's
@@ -48,7 +50,8 @@ keeps full relative accuracy, and atom sums go through the vectorised
 compensated sum ``dist._compensated_sum`` (Sum2 of Ogita, Rump & Oishi),
 so that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
 The series' suffix sums are plain running sums with the bound above, and
-its at most 12 terms go through one ``math.fsum``.
+its at most 12 terms, like the direct buffers' sums, go through one
+``math.fsum``.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ EXACT_ALPHABET_LIMIT = 20000
 _SERIES_X = 0.25
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+#: Direct terms are built and summed in buffers of at most max(m, this)
+#: terms: O(m) memory, and few enough buffers that per-call overhead stays
+#: below the arithmetic.
+_DIRECT_BUFFER = 2**14
 
 
 class VarianceMethod(Enum):
@@ -138,15 +146,45 @@ def _diagonal_variance(p: np.ndarray, q: np.ndarray, n: int) -> float:
     return _compensated_sum(p * p * (q - _pow_one_minus(p, 2 * n)))
 
 
+def _direct_sum(p: np.ndarray, q: np.ndarray, cut: np.ndarray, n: int, budget: int) -> float:
+    """sum over i < j < cut[i] of p_i p_j [(1-p_i-p_j)^n - q_i q_j], q = (1-p)^n.
+
+    The pairs are numbered row by row and taken ``budget`` at a time into
+    flat buffers, whatever rows a buffer spans: ``np.repeat`` over the
+    rows' starts and lengths gives each term's (i, j). Each buffer is
+    reduced by one compensated sum and the buffer sums by one ``math.fsum``,
+    so the Python-level work grows with the number of buffers, not of rows.
+    """
+    rows = np.flatnonzero(cut > np.arange(1, p.size + 1))  # only rows with t_i > 1/2 have direct terms
+    lengths = cut[rows] - rows - 1
+    ends = np.cumsum(lengths)  # number of the pair just past each row's last
+    offset = rows + 1 - (ends - lengths)  # j = pair number + its row's offset
+    total = int(ends[-1]) if rows.size else 0
+    sums = []
+    for lo in range(0, total, budget):
+        hi = min(lo + budget, total)
+        counts = np.diff(np.clip(ends, lo, hi), prepend=lo)
+        i = np.repeat(rows, counts)
+        j = np.repeat(offset, counts) + np.arange(lo, hi)
+        pi, pj = p[i], p[j]
+        sums.append(_compensated_sum(pi * pj * (_pow_one_minus(np.minimum(pi + pj, 1.0), n) - q[i] * q[j])))
+    return math.fsum(sums)
+
+
 def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     """Exact Var[M0]: pairs with t_i t_j > 1/4 term by term, all others by one series.
 
     The masses are sorted first, so the result does not depend on atom
-    order. The direct terms are built and compensated-summed one row at a
-    time, so memory is O(m); the series is truncated only below one unit
-    roundoff of its own scale, and its suffix sums' rounding is bounded
-    in the module docstring. Cost O(m log m + D + K m) for D direct terms
-    and K <= 12 series terms.
+    order. The direct terms are built and compensated-summed in flat
+    buffers of at most max(m, _DIRECT_BUFFER) terms, so memory is O(m);
+    the series is truncated only below one unit roundoff of its own scale,
+    and its suffix sums' rounding is bounded in the module docstring. Cost
+    O(m log m + D + K m) for D direct terms and K <= 12 series terms.
+
+    A negative result within (m + 16) eps of sum p^2 q + 2(|direct| +
+    |series|), the gross size of the terms that cancel, is rounding and
+    becomes 0; anything below that is returned as it is, so that a fault
+    shows however small the variance.
     """
     _require_sample_size(n)
     m = dist.probs.size
@@ -160,18 +198,18 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     with np.errstate(divide="ignore", over="ignore"):  # inf at p == 1 and for t_i near 0
         t = math.sqrt(n) * (p / (1.0 - p))  # descending
         cut = np.searchsorted(-t, -_SERIES_X / t)  # first j with t_j <= _SERIES_X / t_i
-    first = np.arange(1, m + 1)
-    cut = np.maximum(cut, first)  # the series columns of row i start after i
-    row_sums = []
-    for i in np.flatnonzero(cut > first):  # only rows with t_i > 1/2 have direct terms
-        c = slice(i + 1, cut[i])
-        row = p[i] * p[c] * (_pow_one_minus(np.minimum(p[i] + p[c], 1.0), n) - q[i] * q[c])
-        row_sums.append(_compensated_sum(row))
-    direct = _compensated_sum(np.array(row_sums))
+    cut = np.maximum(cut, np.arange(1, m + 1))  # the series columns of row i start after i
+    diag = _diagonal_variance(p, q, n)
+    direct = _direct_sum(p, q, cut, n, max(m, _DIRECT_BUFFER))
     series, _, _ = _pair_series(p * q, t, cut, n)
-    value = _diagonal_variance(p, q, n) + 2.0 * (direct + series)
-    if -1e-12 < value < 0.0:
-        value = 0.0  # cancellation noise only; a real negative would be a bug
+    value = diag + 2.0 * (direct + series)
+    if value < 0.0:
+        # The diagonal's reference is p^2 q, not its value: p^2 (q - q^2)
+        # rounds to 0 where q rounds to 1. The (m-1) eps covers the series'
+        # running sums, 16 eps the other roundings.
+        scale = _compensated_sum(p * p * q) + 2.0 * (abs(direct) + abs(series))
+        if -value <= (m + 16) * _UNIT_ROUNDOFF * scale:
+            value = 0.0
     return VarianceEstimate(value=value, method=VarianceMethod.EXACT, n=n)
 
 

@@ -242,7 +242,7 @@ class TestCompensatedSum:
     """
 
     @pytest.mark.parametrize("kind", sorted(INPUTS))
-    @pytest.mark.parametrize("size", [0, 1, W - 1, W, W + 1, 2 * W + 1, 10**6])
+    @pytest.mark.parametrize("size", [0, 1, W - 1, W, W + 1, 2 * W + 1, 3 * W - 1, 4 * W, 5 * W + 7, 10**6])
     def test_against_fsum(self, kind, size):
         x = INPUTS[kind](np.random.default_rng(size), size)
         want = fsum_reference(x)

@@ -18,6 +18,7 @@ from missingmass import (
     uniform,
     worst_case_distribution,
 )
+from missingmass import variance
 from missingmass.variance import _pair_series
 from oracles import enumeration_moments, pairwise_variance, profile_variance_mpmath, simplex_grid
 
@@ -99,8 +100,8 @@ class TestExactVariance:
     def test_memory_is_linear_in_alphabet(self):
         # At the cap, Zipf with n = 1e4 has 19 rows with direct terms, and
         # Dirichlet(0.1) with n = 1e6 has about 3.3e5 direct terms (66 x 8m
-        # bytes as Python floats); a row at a time needs only a few m-length
-        # temporaries.
+        # bytes as Python floats); buffers of at most m terms need only a few
+        # m-length temporaries.
         m = EXACT_ALPHABET_LIMIT
         for probs, n in ((_zipf(m), 10**4), (_dirichlet(m), 10**6)):
             d = from_probs(probs, normalize=True)
@@ -199,6 +200,101 @@ class TestExactAgainstPairwise:
         value = exact_variance(d, n).value
         assert abs(value - want) <= 1e-12 * _cancel_scale(d, n)
         assert n * want == pytest.approx(scaled, abs=1e-7)
+
+
+def _buffer_sizes(monkeypatch, budget: int) -> list[int]:
+    """Make exact_variance pack its direct terms into buffers of ``budget``
+    terms; the returned list fills with the size of each buffer summed."""
+    sizes = []
+    direct_sum, compensated_sum = variance._direct_sum, variance._compensated_sum
+
+    def buffer_sum(x):
+        sizes.append(x.size)
+        return compensated_sum(x)
+
+    def packed(p, q, cut, n, _budget):
+        with monkeypatch.context() as mp:
+            mp.setattr(variance, "_compensated_sum", buffer_sum)
+            return direct_sum(p, q, cut, n, budget)
+
+    monkeypatch.setattr(variance, "_direct_sum", packed)
+    return sizes
+
+
+def _direct_pairs(probs: np.ndarray, n: int) -> int:
+    """Pairs with t_i t_j > 1/4, the ones evaluated term by term, by brute force."""
+    t = _t(probs, n)
+    return int(np.count_nonzero(np.triu(np.multiply.outer(t, t) > 0.25, 1)))
+
+
+#: At n = 100 only the first atom's row has direct terms, all 40 of them
+#: (t_0 t_j = 0.256), and with q_0 = 0.9^100 they are far above rounding.
+_ONE_HEAVY_ROW = np.r_[0.1, np.full(40, 0.9 / 40)]
+
+
+class TestDirectBuffers:
+    """exact_variance's direct terms, packed row after row into flat buffers
+    of at most max(m, 2^14) terms, against the all-pairs identity within
+    1e-12 of E[M0]^2 + sum p^2 q."""
+
+    @pytest.mark.parametrize(
+        "probs, n, budget",
+        [
+            (_dirichlet(1200), 100000, 2**14),  # 25 214 terms: the budget at this m, 2 buffers
+            (_near_uniform(20), 100, 7),  # 189 terms in rows of 2 to 19: 27 buffers, rows cut across them
+            (_ONE_HEAVY_ROW, 100, 7),  # the row of 40 terms spans 6 buffers
+            (_ONE_HEAVY_ROW, 100, 40),  # exactly one budget
+            (_ONE_HEAVY_ROW, 100, 39),  # one term past it
+        ],
+    )
+    def test_buffers_match_pairwise(self, monkeypatch, probs, n, budget):
+        d = from_probs(probs, normalize=True)
+        sizes = _buffer_sizes(monkeypatch, budget)
+        _assert_matches_pairwise(d, n)
+        total = sum(sizes)
+        assert total == _direct_pairs(d.probs, n)
+        assert sizes == [budget] * (total // budget) + ([total % budget] if total % budget else [])
+
+    def test_calls_grow_with_buffers_not_rows(self, monkeypatch):
+        # Python-level sums per exact_variance: a few fixed ones plus at most
+        # two per buffer (its compensated sum, and math.fsum inside it when
+        # the buffer is shorter than one row of the column view).
+        m, n = 1200, 100000
+        d = from_probs(_dirichlet(m), normalize=True)
+        rows = int(np.count_nonzero(_t(d.probs, n) > 0.5))
+        buffers = -(-_direct_pairs(d.probs, n) // max(m, 2**14))
+        calls = []
+        compensated_sum, fsum = variance._compensated_sum, math.fsum
+        monkeypatch.setattr(variance, "_compensated_sum", lambda x: calls.append(1) or compensated_sum(x))
+        monkeypatch.setattr(math, "fsum", lambda x: calls.append(1) or fsum(x))
+        exact_variance(d, n)
+        monkeypatch.undo()
+        assert rows > 100 and buffers == 2
+        assert len(calls) <= 4 + 2 * buffers
+
+
+class TestClamp:
+    """Only rounding-sized negatives become 0."""
+
+    def test_injected_error_stays_visible(self, monkeypatch):
+        # masses proportional to 1, 2 or 3: Var[M0] is about 3.7e-17 at
+        # n = 1e5, so an absolute 1e-12 clamp would hide an error of 1e-14
+        w = np.random.default_rng(0).integers(1, 4, 1800).astype(float)
+        d = from_probs(w, normalize=True)
+        n = 100000
+        assert 1e-17 < exact_variance(d, n).value < 1e-16
+        pair_series = variance._pair_series
+        monkeypatch.setattr(
+            variance, "_pair_series", lambda *args: (lambda v, k, r: (v - 1e-14, k, r))(*pair_series(*args))
+        )
+        assert exact_variance(d, n).value < -1e-14
+
+    def test_rounding_below_zero_is_cleared(self):
+        # q = 1 in double for the tiny atoms, so their diagonal terms
+        # p^2 (q - q^2) round to 0 while the series keeps the covariance,
+        # about -1e-121; the true variance is about 2e-91
+        d = from_probs([1.0] + [1.9273517e-32] * 29)
+        assert exact_variance(d, 1000).value == 0.0
 
 
 def _pair_cut(t: np.ndarray) -> np.ndarray:

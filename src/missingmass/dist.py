@@ -6,6 +6,16 @@ reasons about alphabet slots, not occupied slots.
 
 This module is also the one home of the library's compensated atom sum,
 :func:`_compensated_sum`, since it is the module every other one imports.
+From one 2048-term row up it runs a vectorised TwoSum fold, and the
+result is within one rounding of the exact sum plus a term of order
+eps^2 sum|x|. Below one row it returns the correctly rounded sum, what
+``math.fsum`` over the terms returns. Plain fsum gives it where that is
+cheaper: on terms that span few binades, and on fewer than 768 terms.
+Elsewhere the same fold runs down to 64 lanes, and ``math.fsum`` over
+their 128 sums and errors gives a value r and its residual d. A
+certificate, r + d +- gamma_2h^2 sum|x| inside the interval that rounds
+to r for h halvings, proves r is the correctly rounded sum. Where it
+cannot, fsum runs over the terms.
 """
 
 from __future__ import annotations
@@ -29,8 +39,30 @@ DIRAC_OMIT_THRESHOLD = 1e-12
 INFINITE = math.inf
 
 #: Column count of the (rows, _SUM_WIDTH) view that :func:`_compensated_sum`
-#: runs down; shorter inputs go to one ``math.fsum`` directly.
+#: runs down; a shorter input that is folded is zero-padded to a power of two.
 _SUM_WIDTH = 2048
+
+#: A short input is folded down to this many lanes, whose sums and errors
+#: then go to ``math.fsum``: 128 partials over few binades, where fsum is
+#: fast, while each further halving would cost more than it saves there.
+_SHORT_LANES = 64
+
+#: Inputs shorter than this always get plain ``math.fsum``, without the span
+#: check below: on close terms of fewer than about 700, that check costs
+#: more than reading them through a memoryview, not a list, saves.
+_SHORT_FOLD_MIN = 768
+
+#: ``math.fsum`` walks its whole list of partials for every term, and the
+#: list grows with the binades the terms span below their total: measured
+#: on 512-2047 terms, its cost per term doubles at a span of about this
+#: many binades.
+_FSUM_SPAN_DOUBLING = 100.0
+
+#: The fold, its certificate included, costs about as much as ``math.fsum``
+#: over this many terms of one binade.
+_FOLD_COST_TERMS = 3000
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _two_sum(s: np.ndarray, x: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
@@ -47,6 +79,70 @@ def _two_sum(s: np.ndarray, x: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.n
     np.add(e, w, out=e)
 
 
+def _fold(s: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.ndarray, w: np.ndarray, lanes: int) -> np.ndarray:
+    """Fold the columns of s in half by TwoSum until ``lanes`` are left, adding e along the same halvings.
+
+    s.size must be ``lanes`` times a power of two; t, z and w are scratch
+    arrays as long as s. Returns the array, s or t, that holds the sums in
+    its first ``lanes`` entries; e holds the errors in its own.
+    """
+    width = s.size
+    while width > lanes:
+        width //= 2
+        np.add(e[:width], e[width : 2 * width], out=e[:width])
+        _two_sum(s[:width], s[width : 2 * width], e[:width], t[:width], z[:width], w[:width])
+        s, t = t, s
+    return s
+
+
+def _short_sum(x: np.ndarray) -> float:
+    """Sum of fewer than _SUM_WIDTH terms, correctly rounded: equal to ``math.fsum`` over them.
+
+    Plain fsum costs about n (1 + span / _FSUM_SPAN_DOUBLING) term steps,
+    with span = log2(sum|x| / min nonzero |x|) in binades; the fold about
+    _FOLD_COST_TERMS. The fold runs only where fsum would cost more, on at
+    least _SHORT_FOLD_MIN terms with sum|x| finite and below 2^1023. The
+    terms are then zero-padded to a power of two and folded by
+    :func:`_fold` down to _SHORT_LANES lanes in h halvings. The lanes' sums
+    and errors are the partials; r = fsum(partials) and
+    d = fsum(partials + [-r]), so r + d is their exact total. The TwoSums
+    are exact, their rounding errors add up to at most gamma_h sum|x|, and
+    each error reaches the lanes through at most 2h roundings, so the exact
+    sum lies within gamma_2h^2 sum|x| of r + d. When that whole interval,
+    with a margin, lies within half the spacing to the floats next to r, on
+    each side, the exact sum rounds to r, which is what fsum returns.
+    Otherwise the result is ``math.fsum`` over the terms, or NaN where fsum
+    raises. The 2^1023 cap keeps the fold and fsum's running sums from
+    overflowing; inf and NaN terms fail it.
+    """
+    if x.size >= _SHORT_FOLD_MIN:
+        a = np.abs(x)
+        scale = float(np.add.reduce(a))
+        if 0.0 < scale < 2.0**1023:
+            low = float(np.minimum.reduce(a))
+            if low == 0.0:  # zeros cost fsum no partial; the masked minimum is dearer, so only here
+                low = float(np.minimum.reduce(a, where=a > 0.0, initial=scale))
+            if x.size * (1.0 + math.log2(scale / low) / _FSUM_SPAN_DOUBLING) >= _FOLD_COST_TERMS:
+                lanes = 1 << (x.size - 1).bit_length()  # the next power of two
+                s, e, t, z, w = np.zeros((5, lanes))
+                s[: x.size] = x
+                s = _fold(s, e, t, z, w, _SHORT_LANES)
+                partials = s[:_SHORT_LANES].tolist() + e[:_SHORT_LANES].tolist()
+                r = math.fsum(partials)
+                partials.append(-r)
+                d = math.fsum(partials)
+                depth = 2 * ((lanes // _SHORT_LANES).bit_length() - 1)  # 2h
+                gamma = depth * _UNIT_ROUNDOFF / (1.0 - depth * _UNIT_ROUNDOFF)
+                # the factor 2 and the 2^-20 |d| cover the roundings of sum|x|, of d and of these lines
+                err = 2.0 * gamma * gamma * scale + abs(d) * 2.0**-20
+                if 2.0 * (d + err) < math.nextafter(r, math.inf) - r and 2.0 * (err - d) < r - math.nextafter(r, -math.inf):
+                    return r
+    try:
+        return math.fsum(memoryview(x))  # the same floats as x.tolist(), without building the list
+    except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
+        return math.nan
+
+
 def _compensated_sum(x: np.ndarray) -> float:
     """Sum of every entry of a float64 array, as if in twice the working precision.
 
@@ -55,26 +151,27 @@ def _compensated_sum(x: np.ndarray) -> float:
     one accumulator by a cascaded TwoSum, vectorised across the columns;
     one more TwoSum adds the leftover tail into the first columns. The
     columns are then folded in half log2(_SUM_WIDTH) = 11 times by the
-    same vectorised TwoSum, the column errors are added along the same
-    halvings, and the result is s[0] + e[0]. Every term thus passes
-    through at most rows + 12 TwoSums, and their argument for Sum2, with
-    that depth in place of the term count, puts the result within one
-    rounding of the exact sum plus gamma_{rows+12}^2 * sum|x|,
+    same vectorised TwoSum (:func:`_fold`), the column errors are added
+    along the same halvings, and the result is s[0] + e[0]. Every term
+    thus passes through at most rows + 12 TwoSums and every error through
+    at most rows + 23 roundings, and their argument for Sum2, with these
+    depths in place of the term count, puts the result within one
+    rounding of the exact sum plus gamma_{rows+23}^2 * sum|x|,
     gamma_k = k eps / (1 - k eps); the tests hold it to one ulp plus
-    rows * eps^2 * sum|x|. With no full row it is ``math.fsum`` over the
-    entries. Memory is O(_SUM_WIDTH) beyond the input, and the cost past
-    the column pass is a fixed 12 vectorised TwoSums. A non-finite entry
-    or an overflowing sum gives the plain numpy sum, inf or NaN, not an
-    exception.
+    rows * eps^2 * sum|x|. With no full row the result is the correctly
+    rounded sum, equal to ``math.fsum`` over the entries: plain fsum where
+    that is cheaper, otherwise the same fold down to 64 lanes and a
+    certificate that their fsum is correctly rounded (see
+    :func:`_short_sum`). Memory is
+    O(_SUM_WIDTH) beyond the input, and the cost past the column pass is
+    a fixed 12 vectorised TwoSums. A non-finite entry or an overflowing
+    sum gives the plain numpy sum, inf or NaN, not an exception.
     """
     x = np.ravel(x)
     rows, k = divmod(x.size, _SUM_WIDTH)
     with np.errstate(over="ignore", invalid="ignore"):
         if not rows:
-            try:
-                total = math.fsum(x.tolist())
-            except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
-                total = math.nan
+            total = _short_sum(x)
         else:
             s, e, t, z, w = np.zeros((5, _SUM_WIDTH))
             for row in x[: rows * _SUM_WIDTH].reshape(rows, _SUM_WIDTH):
@@ -82,12 +179,7 @@ def _compensated_sum(x: np.ndarray) -> float:
                 s, t = t, s
             _two_sum(s[:k], x[rows * _SUM_WIDTH :], e[:k], t[:k], z[:k], w[:k])
             s[:k] = t[:k]
-            width = _SUM_WIDTH
-            while width > 1:
-                width //= 2
-                np.add(e[:width], e[width : 2 * width], out=e[:width])
-                _two_sum(s[:width], s[width : 2 * width], e[:width], t[:width], z[:width], w[:width])
-                s, t = t, s
+            s = _fold(s, e, t, z, w, 1)
             total = float(s[0] + e[0])
         return total if math.isfinite(total) else float(np.sum(x))
 

@@ -62,7 +62,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import DiscreteDistribution, _compensated_sum
+from .dist import _UNIT_ROUNDOFF, DiscreteDistribution, _compensated_sum
 
 #: exact_variance refuses alphabets beyond this size. For larger m,
 #: iid_majorization_v, Var[M0] with every covariance dropped, bounds it from
@@ -74,8 +74,6 @@ EXACT_ALPHABET_LIMIT = 20000
 #: A pair with t_i t_j at most this goes to the series, any other pair is
 #: evaluated term by term (see the module docstring).
 _SERIES_X = 0.25
-
-_UNIT_ROUNDOFF = 2.0**-53
 
 #: Direct terms are built and summed in buffers of at most max(m, this)
 #: terms: O(m) memory, and few enough buffers that per-call overhead stays
@@ -142,8 +140,13 @@ def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple
 
 
 def _diagonal_variance(p: np.ndarray, q: np.ndarray, n: int) -> float:
-    """sum p^2 (q - (1-p)^{2n}) with q = (1-p)^n: Var[M0] with every covariance dropped."""
-    return _compensated_sum(p * p * (q - _pow_one_minus(p, 2 * n)))
+    """sum p^2 q (1 - q) with q = (1-p)^n: Var[M0] with every covariance dropped.
+
+    1 - q is -expm1(n log1p(-p)), which keeps full relative accuracy where
+    n p is below eps and q - q^2 would round to 0.
+    """
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1 - q = 1
+        return _compensated_sum(p * p * q * -np.expm1(n * np.log1p(-p)))
 
 
 def _direct_sum(p: np.ndarray, q: np.ndarray, cut: np.ndarray, n: int, budget: int) -> float:
@@ -204,9 +207,9 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     series, _, _ = _pair_series(p * q, t, cut, n)
     value = diag + 2.0 * (direct + series)
     if value < 0.0:
-        # The diagonal's reference is p^2 q, not its value: p^2 (q - q^2)
-        # rounds to 0 where q rounds to 1. The (m-1) eps covers the series'
-        # running sums, 16 eps the other roundings.
+        # The diagonal's reference is p^2 q, which bounds its value
+        # p^2 q (1 - q). The (m-1) eps covers the series' running sums,
+        # 16 eps the other roundings.
         scale = _compensated_sum(p * p * q) + 2.0 * (abs(direct) + abs(series))
         if -value <= (m + 16) * _UNIT_ROUNDOFF * scale:
             value = 0.0

@@ -11,9 +11,11 @@ from missingmass import (
     EmptyDistributionError,
     NegativeMassError,
     NotNormalizedError,
+    VarianceMethod,
     ZeroSumError,
     from_file,
     from_probs,
+    gap_report,
     uniform,
     uniform_dirac,
 )
@@ -224,7 +226,15 @@ def _heavy_row_terms(rng, size: int) -> np.ndarray:
     return -p * p * rng.random(size)
 
 
+def _masses(rng, size: int) -> np.ndarray:
+    """Dirichlet(0.1) masses scaled to sum 1: the exact sum sits next to the
+    power of two 1.0, where the float spacing below is half that above."""
+    p = rng.dirichlet(np.full(size, 0.1)) if size else np.empty(0)
+    return p / p.sum()
+
+
 INPUTS = {
+    "masses": _masses,
     "signed-wide": _signed_wide,
     "cancelling": _cancelling,
     "exponents": lambda rng, size: 10.0 ** rng.uniform(-300.0, 0.0, size),
@@ -233,16 +243,33 @@ INPUTS = {
 }
 
 
+def _record_fsum(monkeypatch) -> list[int]:
+    """Make math.fsum append each call's item count to the returned list."""
+    sizes = []
+    fsum = math.fsum
+
+    def counted(items):
+        items = list(items)
+        sizes.append(len(items))
+        return fsum(items)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return sizes
+
+
 class TestCompensatedSum:
     """The vectorised Sum2 kernel against math.fsum over Python floats.
 
     Bound, fixed before the first run: within one ulp of the correctly rounded
     sum, plus rows * eps^2 * sum|x| for the rows of the column view (eps the
-    machine epsilon). Below a full row the kernel is that fsum, so equal.
+    machine epsilon). Below a full row the kernel returns the correctly
+    rounded sum, which is that fsum, so equal.
     """
 
     @pytest.mark.parametrize("kind", sorted(INPUTS))
-    @pytest.mark.parametrize("size", [0, 1, W - 1, W, W + 1, 2 * W + 1, 3 * W - 1, 4 * W, 5 * W + 7, 10**6])
+    @pytest.mark.parametrize(
+        "size", [0, 1, 2, 64, 1024, W - 1, W, W + 1, 2 * W + 1, 3 * W - 1, 4 * W, 5 * W + 7, 10**6]
+    )
     def test_against_fsum(self, kind, size):
         x = INPUTS[kind](np.random.default_rng(size), size)
         want = fsum_reference(x)
@@ -251,6 +278,74 @@ class TestCompensatedSum:
             assert got == want
         bound = math.ulp(want) + (size // W) * EPS**2 * fsum_reference(np.abs(x))
         assert abs(got - want) <= bound
+
+    def test_short_inputs_equal_fsum(self):
+        # Random mantissas over a drawn exponent range (subnormals included),
+        # mixed signs, and drawn finite values placed as v, -v pairs so that
+        # the sum cancels. Every term is below 2^1001, so no sum overflows.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(min_value=-(2.0**1000), max_value=2.0**1000, allow_subnormal=True)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            size=st.integers(0, W - 1),
+            seed=st.integers(0, 2**32 - 1),
+            low=st.integers(-1100, 1000),
+            span=st.integers(0, 2100),
+            pairs=st.lists(finite, max_size=8),
+        )
+        def check(size, seed, low, span, pairs):
+            rng = np.random.default_rng(seed)
+            x = rng.choice([-1.0, 1.0], size) * np.exp2(rng.uniform(low, min(low + span, 1000), size))
+            v = np.array(pairs[: size // 2])
+            slots = rng.permutation(size)[: 2 * v.size].reshape(2, -1)
+            x[slots[0]], x[slots[1]] = v, -v
+            assert _compensated_sum(x) == fsum_reference(x)
+
+        check()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_atom_sums_take_no_per_atom_fsum(self, monkeypatch, seed):
+        # gap_report on Dirichlet(0.1) masses, m = 1200 at n = 1e5: the
+        # diagonal, the power sums and the last direct buffer are shorter
+        # than one row, and their terms span about a thousand binades. No
+        # fsum may take more than the 129 partials of a certified short sum,
+        # so none of them falls back to fsum over its terms.
+        d = from_probs(np.random.default_rng(seed).dirichlet(np.full(1200, 0.1)), normalize=True)
+        sizes = _record_fsum(monkeypatch)
+        gap_report(d, 100000, VarianceMethod.EXACT)
+        assert sizes and max(sizes) <= 129
+
+    @pytest.mark.parametrize("size", [65, 767, 768, 1024, 1500, W - 1])
+    def test_close_terms_take_plain_fsum(self, monkeypatch, size):
+        # Terms within a few binades of each other: fsum over them is cheaper
+        # than the fold at every size below a row, so it runs once, over all
+        # of them, and nothing is folded.
+        x = np.random.default_rng(size).uniform(1.0, 3.0, size)
+        want = fsum_reference(x)
+        sizes = _record_fsum(monkeypatch)
+        assert _compensated_sum(x) == want
+        assert sizes == [size]
+
+    @pytest.mark.parametrize("gap", [5, 7])
+    def test_certificate_uses_each_sides_spacing(self, monkeypatch, gap):
+        # Wide-span masses whose exact sum is 1 + gap * 2^-56: it rounds to
+        # 1.0, whose spacing above (2^-52) is twice that below, and lies more
+        # than half the spacing below (2^-54) above 1.0. Held to the smaller
+        # spacing on both sides, the certificate would fall back.
+        x = _masses(np.random.default_rng(gap), W - 48)
+        x[0] += gap * 2.0**-56 - math.fsum(x.tolist() + [-1.0])
+        sizes = _record_fsum(monkeypatch)
+        assert _compensated_sum(x) == 1.0
+        assert sizes == [2 * 64, 2 * 64 + 1]
+
+    def test_cancelling_short_sum_falls_back(self, monkeypatch):
+        x = _cancelling(np.random.default_rng(0), W - 1)
+        sizes = _record_fsum(monkeypatch)
+        got = _compensated_sum(x)
+        assert sizes[-1] == W - 1
+        assert got == fsum_reference(x)
 
     @pytest.mark.parametrize("size", [3, 3 * W])
     def test_non_finite_sums_do_not_raise(self, size):

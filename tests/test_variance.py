@@ -190,6 +190,14 @@ class TestExactAgainstPairwise:
         want = profile_variance_mpmath(masses, counts, n)
         assert abs(exact_variance(d, n).value - want) <= 1e-12 * _cancel_scale(d, n)
 
+    def test_tiny_atoms_beside_a_unit_atom_match_mpmath(self):
+        # n p is about 1.9e-29 for the tiny atoms, so q - q^2 rounds to 0
+        # while p^2 q (1 - q), the diagonal's value, is about 2.1e-91.
+        pytest.importorskip("mpmath")
+        masses, counts, n = [1.0, 1.9273517e-32], [1, 29], 1000
+        want = profile_variance_mpmath(masses, counts, n)
+        assert abs(exact_variance(from_probs(np.repeat(masses, counts)), n).value - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("n, scaled", [(1000, 0.1553505), (10000, 0.1554943)])
     def test_worst_case_matches_mpmath(self, n, scaled):
         # n Var[M0] at the poissonized program's maximizer, far below its 0.4774
@@ -256,9 +264,12 @@ class TestDirectBuffers:
         assert sizes == [budget] * (total // budget) + ([total % budget] if total % budget else [])
 
     def test_calls_grow_with_buffers_not_rows(self, monkeypatch):
-        # Python-level sums per exact_variance: a few fixed ones plus at most
-        # two per buffer (its compensated sum, and math.fsum inside it when
-        # the buffer is shorter than one row of the column view).
+        # Python-level sums per exact_variance: a few fixed ones plus one
+        # compensated sum per buffer. Below one row of the column view, a
+        # compensated sum adds two math.fsum calls over the 128 partials its
+        # fold leaves, or one over its terms where they span few binades:
+        # here the diagonal's (m < one row, terms over about a thousand
+        # binades) adds two, both buffers are longer, and the call count is 7.
         m, n = 1200, 100000
         d = from_probs(_dirichlet(m), normalize=True)
         rows = int(np.count_nonzero(_t(d.probs, n) > 0.5))
@@ -289,12 +300,21 @@ class TestClamp:
         )
         assert exact_variance(d, n).value < -1e-14
 
-    def test_rounding_below_zero_is_cleared(self):
-        # q = 1 in double for the tiny atoms, so their diagonal terms
-        # p^2 (q - q^2) round to 0 while the series keeps the covariance,
-        # about -1e-121; the true variance is about 2e-91
-        d = from_probs([1.0] + [1.9273517e-32] * 29)
-        assert exact_variance(d, 1000).value == 0.0
+    def test_rounding_below_zero_is_cleared(self, monkeypatch):
+        # uniform(m) at n = 1: every sample leaves M0 = 1 - 1/m, so Var[M0]
+        # is 0 and the computed value is rounding noise, about -1.3e-20 at
+        # m = 1000. Moving the series down by m eps / 4 times sum p^2 q
+        # (eps = 2^-53) moves the value by twice that, about half the
+        # (m + 16) eps bound.
+        m, n = 1000, 1
+        d = uniform(m)
+        assert exact_variance(d, n).value == 0.0
+        shift = m * 2.0**-55 * (m - 1) / m**2  # sum p^2 q = (m - 1) / m^2
+        pair_series = variance._pair_series
+        monkeypatch.setattr(
+            variance, "_pair_series", lambda *args: (lambda v, k, r: (v - shift, k, r))(*pair_series(*args))
+        )
+        assert exact_variance(d, n).value == 0.0
 
 
 def _pair_cut(t: np.ndarray) -> np.ndarray:

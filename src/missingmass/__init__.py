@@ -5,94 +5,74 @@ approximations of it (see ``missingmass.variance`` for how far they are
 off), the extremal program that maximizes it over all distributions with a
 given alphabet size, Monte-Carlo validation, and concentration-gap
 reports.
+
+The public names load lazily (PEP 562): ``import missingmass`` imports no
+submodule, and a name's module, with numpy where that module needs it, is
+imported on the name's first use. The extremal solver needs no numpy.
 """
 
-from .concentration import (
-    GapReport,
-    SubgammaSearchResult,
-    gap_report,
-    iid_majorization_v,
-    max_subgamma_uniform_dirac,
-    subgamma_v,
-)
-from .dist import (
-    INFINITE,
-    AlphabetBound,
-    DiscreteDistribution,
-    DistributionError,
-    EmptyDistributionError,
-    NegativeMassError,
-    NotNormalizedError,
-    ZeroSumError,
-    from_file,
-    from_probs,
-    uniform,
-    uniform_dirac,
-)
-from .extremal import (
-    BracketError,
-    ExtremalSolution,
-    InvalidAlphabetError,
-    InvalidRatioError,
-    Regime,
-    WorstCaseSpec,
-    find_cstar,
-    objective_alpha,
-    solve_alpha,
-    worst_case_distribution,
-)
-from .simulate import SimulationEstimate, estimate_variance, sample_missing_mass
-from .variance import (
-    EXACT_ALPHABET_LIMIT,
-    AlphabetTooLargeError,
-    VarianceEstimate,
-    VarianceMethod,
-    approx_variance_thm1,
-    exact_variance,
-    expected_missing_mass,
-    poissonized_variance,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetBound",
-    "AlphabetTooLargeError",
-    "BracketError",
-    "DiscreteDistribution",
-    "DistributionError",
-    "EmptyDistributionError",
-    "EXACT_ALPHABET_LIMIT",
-    "ExtremalSolution",
-    "GapReport",
-    "INFINITE",
-    "InvalidAlphabetError",
-    "InvalidRatioError",
-    "NegativeMassError",
-    "NotNormalizedError",
-    "Regime",
-    "SimulationEstimate",
-    "SubgammaSearchResult",
-    "VarianceEstimate",
-    "VarianceMethod",
-    "WorstCaseSpec",
-    "ZeroSumError",
-    "approx_variance_thm1",
-    "estimate_variance",
-    "exact_variance",
-    "expected_missing_mass",
-    "find_cstar",
-    "from_file",
-    "from_probs",
-    "gap_report",
-    "iid_majorization_v",
-    "max_subgamma_uniform_dirac",
-    "objective_alpha",
-    "poissonized_variance",
-    "sample_missing_mass",
-    "solve_alpha",
-    "subgamma_v",
-    "uniform",
-    "uniform_dirac",
-    "worst_case_distribution",
-]
+#: Each public name and the submodule it lives in.
+_EXPORTS = {
+    "AlphabetBound": "sizes",
+    "AlphabetTooLargeError": "sizes",
+    "BracketError": "extremal",
+    "DiscreteDistribution": "dist",
+    "DistributionError": "dist",
+    "EmptyDistributionError": "dist",
+    "EXACT_ALPHABET_LIMIT": "variance",
+    "ExtremalSolution": "extremal",
+    "GapReport": "concentration",
+    "INFINITE": "sizes",
+    "InvalidAlphabetError": "extremal",
+    "InvalidRatioError": "extremal",
+    "NegativeMassError": "dist",
+    "NotNormalizedError": "dist",
+    "Regime": "extremal",
+    "SimulationEstimate": "simulate",
+    "SubgammaSearchResult": "concentration",
+    "VarianceEstimate": "variance",
+    "VarianceMethod": "variance",
+    "WorstCaseSpec": "extremal",
+    "ZeroSumError": "dist",
+    "approx_variance_thm1": "variance",
+    "estimate_variance": "simulate",
+    "exact_variance": "variance",
+    "expected_missing_mass": "variance",
+    "find_cstar": "extremal",
+    "from_file": "dist",
+    "from_probs": "dist",
+    "gap_report": "concentration",
+    "iid_majorization_v": "concentration",
+    "max_subgamma_uniform_dirac": "concentration",
+    "objective_alpha": "extremal",
+    "poissonized_variance": "variance",
+    "sample_missing_mass": "simulate",
+    "solve_alpha": "extremal",
+    "subgamma_v": "concentration",
+    "uniform": "dist",
+    "uniform_dirac": "dist",
+    "worst_case_distribution": "extremal",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name's module on first use, and keep the name as a plain attribute."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -20,27 +20,21 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import dist, extremal, simulate
-from .concentration import gap_report
-from .variance import (
-    AlphabetTooLargeError,
-    VarianceMethod,
-    approx_variance_thm1,
-    exact_variance,
-    poissonized_variance,
-)
+from . import extremal
+from .sizes import INFINITE, AlphabetTooLargeError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
 EXIT_IO = 4
 
+#: --method and --mode values: the VarianceMethod member and the variance
+#: kernel each selects, by name, so that only the commands that read a
+#: distribution import ``variance`` and numpy with it.
 _METHODS = {
-    "exact": (VarianceMethod.EXACT, exact_variance),
-    "thm1": (VarianceMethod.THM1, approx_variance_thm1),
-    "poisson": (VarianceMethod.POISSONIZED, poissonized_variance),
+    "exact": ("EXACT", "exact_variance"),
+    "thm1": ("THM1", "approx_variance_thm1"),
+    "poisson": ("POISSONIZED", "poissonized_variance"),
 }
 
 
@@ -71,9 +65,36 @@ def _emit(header: Sequence[str], rows: Iterable[Sequence[object]], fmt: str, out
     return EXIT_OK
 
 
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num`` >= 2 evenly spaced floats from lo to hi, bit-identical to ``np.linspace``.
+
+    numpy's own formula: i * step + lo with step = (hi - lo) / (num - 1),
+    or i / (num - 1) * (hi - lo) + lo where the step underflows to 0, and
+    the last point pinned to hi.
+    """
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def _geomspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num`` >= 2 floats from lo > 0 to hi in geometric progression, both ends exact.
+
+    numpy's formula for ``np.geomspace``: 10 to the powers of an even grid
+    from log10(lo) to log10(hi), with the ends pinned to lo and hi. It
+    differs from numpy only where numpy's log10 or power rounds other than
+    the C library's (see the tests for the bound).
+    """
+    exps = _linspace(math.log10(lo), math.log10(hi), num)
+    return [lo] + [10.0**x for x in exps[1:-1]] + [hi]
+
+
 def _parse_alphabet(raw: str) -> float:
     if raw.strip().lower() == "inf":
-        return dist.INFINITE
+        return INFINITE
     try:
         return int(raw)
     except ValueError:
@@ -81,10 +102,11 @@ def _parse_alphabet(raw: str) -> float:
 
 
 def _cmd_variance(args: argparse.Namespace) -> int:
-    method, fn = _METHODS[args.method]
+    from . import dist, variance
+
     d = dist.from_file(args.dist)
-    est = fn(d, args.n)
-    return _emit(("method", "n", "value"), [(method.value, args.n, est.value)], args.format, args.out)
+    est = getattr(variance, _METHODS[args.method][1])(d, args.n)
+    return _emit(("method", "n", "value"), [(est.method.value, args.n, est.value)], args.format, args.out)
 
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
@@ -108,11 +130,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"need 0 < b-min < b-max < inf, got {args.b_min}, {args.b_max}")
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
-    if args.spacing == "geometric":
-        bs = np.geomspace(args.b_min, args.b_max, args.steps)
-    else:
-        bs = np.linspace(args.b_min, args.b_max, args.steps)
-    rows = [(float(b), extremal.solve_alpha(float(b)).alpha) for b in bs]
+    grid = _geomspace if args.spacing == "geometric" else _linspace
+    rows = [(b, extremal.solve_alpha(b).alpha) for b in grid(args.b_min, args.b_max, args.steps)]
     return _emit(("b", "val"), rows, "csv", args.out)
 
 
@@ -121,13 +140,14 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
         raise ValueError(f"c-max must be positive and finite, got {args.c_max}")
     if args.grid < 2:
         raise ValueError(f"grid must be at least 2, got {args.grid}")
-    ws = np.linspace(0.0, 1.0, args.grid)
-    cs = np.linspace(0.0, args.c_max, args.grid + 1)[1:]
-    rows = [(w, c, extremal.objective_alpha(w, c)) for w in ws.tolist() for c in cs.tolist()]
+    cs = _linspace(0.0, args.c_max, args.grid + 1)[1:]
+    rows = [(w, c, extremal.objective_alpha(w, c)) for w in _linspace(0.0, 1.0, args.grid) for c in cs]
     return _emit(("w", "c", "val"), rows, "csv", args.out)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import dist, simulate
+
     d = dist.from_file(args.dist)
     est = simulate.estimate_variance(d, args.n, args.trials, args.seed, workers=args.workers)
     record = dataclasses.asdict(est)
@@ -135,8 +155,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
+    from . import concentration, dist, variance
+
     d = dist.from_file(args.dist)
-    report = gap_report(d, args.n, _METHODS[args.mode][0])
+    report = concentration.gap_report(d, args.n, variance.VarianceMethod[_METHODS[args.mode][0]])
     record = {**dataclasses.asdict(report), "mode": report.mode.value}  # keeps the field order
     return _emit(record.keys(), [record.values()], args.format, args.out)
 
@@ -159,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="worst-case distribution and extremal constant")
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", type=_parse_alphabet, default=dist.INFINITE, help="alphabet size or 'inf'")
+    p.add_argument("--m", type=_parse_alphabet, default=INFINITE, help="alphabet size or 'inf'")
     add_common(p)
     p.set_defaults(func=_cmd_maximize)
 
@@ -203,7 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AlphabetTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (dist.DistributionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DistributionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution, _compensated_sum
+from .sizes import _require_sample_size
 from .variance import (
     VarianceMethod,
     _diagonal_variance,
     _pow_one_minus,
-    _require_sample_size,
     exact_variance,
     poissonized_variance,
 )

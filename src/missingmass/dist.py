@@ -27,16 +27,11 @@ from typing import Iterable
 
 import numpy as np
 
+from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound  # the last two only re-exported
+
 #: Absolute tolerance on |sum(probs) - 1|. Loose enough to absorb rounding
 #: accumulated over ~1e6 atoms, tight enough to catch construction bugs.
 NORMALIZATION_ATOL = 1e-9
-
-#: Point masses below this are dropped by :func:`uniform_dirac`; under double
-#: precision they cannot influence any downstream objective.
-DIRAC_OMIT_THRESHOLD = 1e-12
-
-#: Marker for an unbounded alphabet.
-INFINITE = math.inf
 
 #: Column count of the (rows, _SUM_WIDTH) view that :func:`_compensated_sum`
 #: runs down; a shorter input that is folded is zero-padded to a power of two.
@@ -235,25 +230,6 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return self.support_size
-
-
-@dataclass(frozen=True)
-class AlphabetBound:
-    """Alphabet size constraint: a positive integer or :data:`INFINITE`."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if math.isinf(v) and v > 0:
-            return
-        if not (float(v).is_integer() and v >= 1):
-            raise ValueError(f"alphabet bound must be a positive integer or INFINITE, got {v!r}")
-        object.__setattr__(self, "value", float(v))
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def from_probs(values: Iterable[float], normalize: bool = False) -> DiscreteDistribution:

@@ -25,10 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .dist import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound, DiscreteDistribution, from_probs, uniform_dirac
-from .variance import _require_sample_size
+from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound, _require_sample_size
+
+if TYPE_CHECKING:
+    from .dist import DiscreteDistribution
+
 
 class Regime(Enum):
     UNIFORM = "UNIFORM"
@@ -77,9 +80,11 @@ class WorstCaseSpec:
     solution: ExtremalSolution
 
     def to_distribution(self) -> DiscreteDistribution:
+        from . import dist  # numpy loads here, not with the solver
+
         if self.atom_count == 0:
-            return from_probs([1.0])
-        return uniform_dirac(self.atom_count, self.atom_mass, self.dirac_mass)
+            return dist.from_probs([1.0])
+        return dist.uniform_dirac(self.atom_count, self.atom_mass, self.dirac_mass)
 
 
 def _transition_equation(c: float) -> float:
@@ -180,7 +185,7 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     count is ceil(k) capped at m-1, falling back to floor(k) whenever the
     ceiling would overshoot total mass 1 (a negative point mass is not a
     distribution). The remainder becomes the point mass, reported as 0
-    below :data:`~missingmass.dist.DIRAC_OMIT_THRESHOLD`. With no atom
+    below :data:`~missingmass.sizes.DIRAC_OMIT_THRESHOLD`. With no atom
     (n < c*) ``atom_mass`` is 0, not p1.
     """
     _require_sample_size(n)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution
-from .variance import _require_sample_size
+from .sizes import _require_sample_size
 
 BLOCK_BUDGET = 2**14
 """Upper bound on max(n, m) * trials per block."""

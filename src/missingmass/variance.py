@@ -63,6 +63,7 @@ from enum import Enum
 import numpy as np
 
 from .dist import _UNIT_ROUNDOFF, DiscreteDistribution, _compensated_sum
+from .sizes import AlphabetTooLargeError, _require_sample_size
 
 #: exact_variance refuses alphabets beyond this size. For larger m,
 #: iid_majorization_v, Var[M0] with every covariance dropped, bounds it from
@@ -87,10 +88,6 @@ class VarianceMethod(Enum):
     POISSONIZED = "poissonized"
 
 
-class AlphabetTooLargeError(ValueError):
-    """Raised when exact evaluation is asked for more than EXACT_ALPHABET_LIMIT atoms."""
-
-
 @dataclass(frozen=True)
 class VarianceEstimate:
     """Variance value tagged with the method and sample size that produced it."""
@@ -98,11 +95,6 @@ class VarianceEstimate:
     value: float
     method: VarianceMethod
     n: int
-
-
-def _require_sample_size(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
 
 
 def _pow_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:

@@ -2,10 +2,14 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from missingmass import extremal
-from missingmass.cli import main
+from missingmass.cli import _geomspace, _linspace, main
+
+#: A size past the largest float: any float(n) on it overflows.
+HUGE = str(10**400)
 
 
 @pytest.fixture
@@ -347,3 +351,100 @@ class TestExitCodeContract:
         assert code == 2
         assert "non-finite" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("maximize", "--n", HUGE),
+            ("maximize", "--n", "1000", "--m", HUGE),
+            ("variance", "--n", HUGE, "--method", "exact"),
+            ("variance", "--n", HUGE, "--method", "thm1"),
+            ("variance", "--n", HUGE, "--method", "poisson"),
+            ("simulate", "--n", HUGE, "--trials", "5"),
+            ("gap", "--n", HUGE, "--mode", "exact"),
+            ("gap", "--n", HUGE, "--mode", "poisson"),
+        ],
+        ids=lambda argv: "-".join(a for a in argv if a != HUGE),
+    )
+    def test_size_beyond_float_range_exits_2(self, capsys, dist_file, argv):
+        if argv[0] != "maximize":
+            argv += ("--dist", dist_file("0.5\n0.3\n0.2\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def _ulps(got: list[float], want: np.ndarray) -> np.ndarray:
+    return np.abs(np.array(got) - want) / np.spacing(np.abs(want))
+
+
+class TestGrids:
+    """The sweep and landscape grids, built without numpy, against numpy's."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, num",
+        [(0.01, 2.0, 200), (0.0, 1.0, 100), (0.0, 6.0, 101)],  # the benchmark's sweep; landscape's w and c axes
+    )
+    def test_linear_is_numpy_linspace(self, lo, hi, num):
+        assert np.array(_linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes()
+
+    def test_linear_is_numpy_linspace_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(lo=finite, hi=finite, num=st.integers(min_value=2, max_value=500))
+        def check(lo, hi, num):
+            hypothesis.assume(lo < hi and hi - lo < math.inf)
+            with np.errstate(over="ignore"):  # numpy also scales the last point, then overwrites it with hi
+                want = np.linspace(lo, hi, num)
+            assert np.array(_linspace(lo, hi, num)).tobytes() == want.tobytes()
+
+        check()
+
+    def test_linear_subnormal_step(self):
+        # the step underflows to 0, and numpy switches to i / (num - 1) * (hi - lo) + lo
+        lo, hi = 5e-324, 1e-323
+        assert np.array(_linspace(lo, hi, 7)).tobytes() == np.linspace(lo, hi, 7).tobytes()
+
+    @staticmethod
+    def geometric_bound(lo: float, hi: float) -> float:
+        """Ulps by which _geomspace may differ from np.geomspace.
+
+        Both compute 10 ** (an even grid from log10(lo) to log10(hi)). With
+        faithful log10s, the two libraries' ends differ by at most 2^-52 M,
+        M = max(|log10 lo|, |log10 hi|, 1), and each of the grid's four
+        roundings by one ulp of at most 2M, so an exponent moves by at most
+        9 * 2^-52 M and 10^x by a relative ln(10) * 9 * 2^-52 M, at most
+        18 ln(10) M ulps. Faithful powers add one ulp.
+        """
+        m = max(abs(math.log10(lo)), abs(math.log10(hi)), 1.0)
+        return 1.0 + 18.0 * math.log(10.0) * m
+
+    @pytest.mark.parametrize(
+        "lo, hi, num", [(0.01, 2.0, 200), (0.05, 0.9, 100), (1e-6, 1e3, 500), (1e-300, 1e300, 500)]
+    )
+    def test_geometric_near_numpy_geomspace(self, lo, hi, num):
+        got = _geomspace(lo, hi, num)
+        assert got[0] == lo and got[-1] == hi
+        assert len(got) == num
+        assert _ulps(got, np.geomspace(lo, hi, num)).max() <= self.geometric_bound(lo, hi)
+
+    def test_geometric_near_numpy_geomspace_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        positive = st.floats(min_value=1e-300, max_value=1e300)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(lo=positive, hi=positive, num=st.integers(min_value=2, max_value=500))
+        def check(lo, hi, num):
+            hypothesis.assume(lo < hi)
+            got = _geomspace(lo, hi, num)
+            assert got[0] == lo and got[-1] == hi
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert _ulps(got, np.geomspace(lo, hi, num)).max() <= self.geometric_bound(lo, hi)
+
+        check()

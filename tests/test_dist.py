@@ -31,7 +31,7 @@ class TestAlphabetBound:
     def test_infinite(self):
         assert not AlphabetBound(INFINITE).is_finite
 
-    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan")])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), -math.inf, 10**400])
     def test_rejects_bad_values(self, value):
         with pytest.raises(ValueError):
             AlphabetBound(value)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +235,17 @@ class TestWorstCase:
     def test_rejects_tiny_alphabet(self):
         with pytest.raises(InvalidAlphabetError):
             worst_case_distribution(100, 1)
+
+    @pytest.mark.parametrize("n, m", [(10**400, INFINITE), (1000, 10**400)])
+    def test_rejects_sizes_beyond_float_range(self, n, m):
+        # float(n) or float(m) would overflow
+        with pytest.raises(ValueError, match="largest float"):
+            worst_case_distribution(n, m)
+
+    def test_largest_float_sample_size_is_accepted(self):
+        n = int(sys.float_info.max)
+        spec = worst_case_distribution(n)
+        assert spec.atom_mass == spec.solution.c / n
 
     def test_scaled_poissonized_variance_approaches_alpha(self):
         for n, m in ((1000, INFINITE), (1000, 200)):

@@ -1,0 +1,78 @@
+"""The package's lazy public names, and the numpy-free solver commands."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import missingmass
+
+#: Run in a fresh interpreter: the solver commands, one failing, then the
+#: modules that are loaded.
+_SOLVER_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import missingmass
+    import missingmass.cli
+
+    codes = []
+    for argv in (
+        ["maximize", "--n", "1000", "--m", "300"],
+        ["maximize", "--n", "1000", "--m", "inf"],
+        ["sweep", "--b-min", "0.01", "--b-max", "2.0", "--steps", "20"],
+        ["sweep", "--b-min", "0.01", "--b-max", "2.0", "--steps", "20", "--spacing", "geometric"],
+        ["landscape", "--c-max", "6", "--grid", "10"],
+        ["maximize", "--n", "0"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(missingmass.cli.main(argv))
+    print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+    """
+)
+
+
+def test_solver_commands_load_no_numpy():
+    src = str(Path(missingmass.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SOLVER_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0, 2]
+    assert "numpy" not in result["modules"]
+    assert {"missingmass.dist", "missingmass.variance"}.isdisjoint(result["modules"])
+
+
+@pytest.mark.parametrize("name", missingmass.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"missingmass.{missingmass._EXPORTS[name]}")
+    value = getattr(missingmass, name)
+    assert value is getattr(home, name)  # the benchmark's tracer patches functions by identity
+    assert vars(missingmass)[name] is value  # cached: later reads are plain attribute reads
+
+
+def test_dir_lists_every_public_name():
+    assert set(missingmass.__all__) <= set(dir(missingmass))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from missingmass import *", namespace)
+    assert set(missingmass.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(missingmass, name) for name in missingmass.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        missingmass.no_such_name
+
+
+def test_re_exported_size_names():
+    from missingmass import dist, sizes, variance
+
+    assert dist.INFINITE is sizes.INFINITE
+    assert dist.AlphabetBound is sizes.AlphabetBound
+    assert variance.AlphabetTooLargeError is sizes.AlphabetTooLargeError

@@ -13,6 +13,11 @@ Both dominate the exact Var[M0]; the report quantifies by how much. They
 need not dominate the poissonized value: for ``worst_case_distribution(1000)``
 ``gap_report`` in POISSONIZED mode gives gap_iid = -2.7e-4 and
 gap_subgamma = -1.4e-4.
+
+Both factors are power sums: like those in ``variance``, they evaluate
+their terms once per run of equal consecutive masses where the
+distribution has a run profile (see ``dist``), and ``gap_report``
+computes n log1p(-p) and q = (1-p)^n once for both.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDistribution, _compensated_sum
+from .dist import DiscreteDistribution, _weighted_sum
 from .sizes import _require_sample_size
 from .variance import (
     VarianceMethod,
+    _atoms,
     _diagonal_variance,
+    _log_one_minus,
     _pow_one_minus,
     exact_variance,
     poissonized_variance,
@@ -52,12 +59,16 @@ class SubgammaSearchResult:
     uniform_mass: float
 
 
+def _subgamma(p: np.ndarray, w: np.ndarray | None, q: np.ndarray, n: int) -> float:
+    """sum w p^2 q + (1/n) sum w p q over masses p with counts w (None: one each)."""
+    return _weighted_sum(p * p * q, w) + _weighted_sum(p * q, w) / n
+
+
 def subgamma_v(dist: DiscreteDistribution, n: int) -> float:
     """Sub-gamma variance factor sum p^2 q + (1/n) sum p q, q = (1-p)^n."""
     _require_sample_size(n)
-    p = dist.probs
-    q = _pow_one_minus(p, n)
-    return _compensated_sum(p * p * q) + _compensated_sum(p * q) / n
+    p, w = _atoms(dist)
+    return _subgamma(p, w, _pow_one_minus(p, n), n)
 
 
 def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
@@ -67,8 +78,9 @@ def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
     pairwise part, so it upper-bounds the true variance.
     """
     _require_sample_size(n)
-    p = dist.probs
-    return _diagonal_variance(p, _pow_one_minus(p, n), n)
+    p, w = _atoms(dist)
+    log_q = _log_one_minus(p, n)
+    return _diagonal_variance(p, w, np.exp(log_q), log_q)
 
 
 def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = VarianceMethod.EXACT) -> GapReport:
@@ -79,8 +91,11 @@ def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = Varian
         true = poissonized_variance(dist, n).value
     else:
         raise ValueError(f"mode must be EXACT or POISSONIZED, got {mode}")
-    sub = subgamma_v(dist, n)
-    iid = iid_majorization_v(dist, n)
+    p, w = _atoms(dist)
+    log_q = _log_one_minus(p, n)
+    q = np.exp(log_q)  # one q for both factors
+    sub = _subgamma(p, w, q, n)
+    iid = _diagonal_variance(p, w, q, log_q)
     return GapReport(
         n=n,
         mode=mode,

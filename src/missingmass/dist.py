@@ -16,12 +16,23 @@ their 128 sums and errors gives a value r and its residual d. A
 certificate, r + d +- gamma_2h^2 sum|x| inside the interval that rounds
 to r for h halvings, proves r is the correctly rounded sum. Where it
 cannot, fsum runs over the terms.
+
+A distribution whose masses come in long runs of equal consecutive atoms,
+like ``uniform(m)`` and the worst case (equal atoms and one point mass),
+also has a run profile: the (values, counts) of those runs, found on
+first use by one adjacent-difference scan in atom order, with no sort.
+The power sums in ``variance`` and ``concentration`` evaluate their terms
+once per run and add count x term through :func:`_weighted_sum`, which
+hands the compensated sum exact pieces of each product, so they cost
+O(runs), not O(m). A shuffled vector of repeated masses has short runs
+and keeps the per-atom vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -58,6 +69,20 @@ _FSUM_SPAN_DOUBLING = 100.0
 _FOLD_COST_TERMS = 3000
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+#: :func:`_weighted_sum` splits each count at this power of two, and each
+#: term into its top 26 significand bits and the other 27, so that a count
+#: piece times a term piece has at most 53 significant bits.
+_COUNT_RADIX = 2**26
+_LOW_27_BITS = np.uint64(2**27 - 1)
+
+#: The run profile is kept only when its runs average at least this many
+#: atoms, so its 2 pieces per run leave the compensated sum at most a
+#: quarter as long as the vector. Timed over the five power-sum functions
+#: and ``gap_report`` on a 2-core Xeon, runs of 8 atoms were then 2-3.4
+#: times faster than the vector from 2000 to 1e6 atoms and within 20 us of
+#: it at 442; runs of 2 or 3 atoms were up to 1.9 times slower at 1e6.
+_MIN_MEAN_RUN = 8
 
 
 def _two_sum(s: np.ndarray, x: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
@@ -179,6 +204,37 @@ def _compensated_sum(x: np.ndarray) -> float:
         return total if math.isfinite(total) else float(np.sum(x))
 
 
+def _weighted_sum(x: np.ndarray, w: np.ndarray | None) -> float:
+    """sum_i w_i x_i for integer counts w_i >= 1 and finite terms |x_i| <= 1; with w None, _compensated_sum(x).
+
+    The result is :func:`_compensated_sum` over exact pieces of the
+    products, so it is what that sum gives over the per-atom vector, x_i
+    repeated w_i times, without building it. Each term is split into hi,
+    its bit pattern with the low 27 of the 52 stored significand bits
+    cleared (at most 26 significant bits, sign kept), and lo = x - hi,
+    exact, with at most 27; each count into its residue below 2^26 and
+    the rest, a multiple of 2^26 below 2^52. Every product of a count piece
+    and a term piece is then an integer below 2^53 times a power of two no
+    smaller than 2^-1074, so it is exact, subnormals included, and the
+    pieces add up to sum_i w_i x_i exactly. The second count piece is zero
+    unless a run holds 2^26 atoms or more. So there are 2 pieces per run,
+    at most m/4 for the at most m/8 runs of m atoms that a run profile
+    keeps: below one row of atoms the result is the correctly rounded sum,
+    ``math.fsum`` over the per-atom terms bit for bit, and above it the
+    kernel's bound holds with fewer rows than over the atoms.
+    """
+    if w is None:
+        return _compensated_sum(x)
+    hi = (x.view(np.uint64) & ~_LOW_27_BITS).view(np.float64)
+    lo = x - hi
+    low = w % _COUNT_RADIX
+    high = w - low
+    pieces = [low * hi, low * lo]
+    if high.any():
+        pieces += [high * hi, high * lo]
+    return _compensated_sum(np.concatenate(pieces))
+
+
 class DistributionError(ValueError):
     """A probability vector violates its invariants."""
 
@@ -222,6 +278,30 @@ class DiscreteDistribution:
             raise NotNormalizedError(f"masses sum to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled or copied array is writable; keep it read-only, as
+        # validation and the cached run profile both rely on.
+        self.__dict__.update(state)
+        self.probs.setflags(write=False)
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(values, counts) of the maximal runs of equal consecutive masses, or None for more than m/8 runs.
+
+        One O(m) adjacent-difference scan in atom order, with no sort, on
+        first use, so validation and the callers that never read it do not
+        pay for it. Kept only when the runs average at least
+        :data:`_MIN_MEAN_RUN` atoms. Runs follow atom order: equal masses
+        that are not neighbours form separate runs, so a shuffled vector of
+        repeated masses keeps the per-atom vector.
+        """
+        p = self.probs
+        change = p[1:] != p[:-1]
+        if _MIN_MEAN_RUN * (1 + int(np.count_nonzero(change))) > p.size:
+            return None
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        return p[starts], np.diff(starts, append=p.size)
 
     @property
     def support_size(self) -> int:

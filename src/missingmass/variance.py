@@ -52,6 +52,17 @@ so that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
 The series' suffix sums are plain running sums with the bound above, and
 its at most 12 terms, like the direct buffers' sums, go through one
 ``math.fsum``.
+
+The O(m) power sums (thm1, poissonized, ``expected_missing_mass`` and
+the diagonal that ``concentration`` shares) run over the distribution's
+run profile where it has one: each term is evaluated once per run of
+equal consecutive masses, and count x term is added exactly by
+``dist._weighted_sum``, so ``uniform(m)`` and the worst case cost
+O(1), not O(m), beyond the run scan. Below one row of atoms the result
+is still ``math.fsum`` over the per-atom terms; above it the compensated
+sum's bound holds. The scan follows atom order, so a shuffled vector of
+repeated masses takes the per-atom path. ``exact_variance`` sorts the
+masses and does not use the profile.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import _UNIT_ROUNDOFF, DiscreteDistribution, _compensated_sum
+from .dist import _UNIT_ROUNDOFF, DiscreteDistribution, _compensated_sum, _weighted_sum
 from .sizes import AlphabetTooLargeError, _require_sample_size
 
 #: exact_variance refuses alphabets beyond this size. For larger m,
@@ -97,10 +108,25 @@ class VarianceEstimate:
     n: int
 
 
+def _log_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:
+    """exponent*log1p(-p), the log of (1-p)**exponent; -inf at p == 1."""
+    with np.errstate(divide="ignore"):
+        return exponent * np.log1p(-p)
+
+
 def _pow_one_minus(p: np.ndarray, exponent: float) -> np.ndarray:
     """(1-p)**exponent via exp(exponent*log1p(-p)); exact 0 at p == 1."""
-    with np.errstate(divide="ignore"):
-        return np.exp(exponent * np.log1p(-p))
+    return np.exp(_log_one_minus(p, exponent))
+
+
+def _atoms(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray | None]:
+    """(masses, counts) for the power sums: the run profile, or (probs, None) where there is none.
+
+    Either pair goes to ``_weighted_sum`` with the terms evaluated on its
+    masses, so a term is evaluated once per run of equal consecutive atoms.
+    """
+    runs = dist._runs
+    return (dist.probs, None) if runs is None else runs
 
 
 def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple[float, int, float]:
@@ -131,14 +157,14 @@ def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple
     return math.fsum(terms[1:]), k, (0.0 if k == n else remainder)
 
 
-def _diagonal_variance(p: np.ndarray, q: np.ndarray, n: int) -> float:
-    """sum p^2 q (1 - q) with q = (1-p)^n: Var[M0] with every covariance dropped.
+def _diagonal_variance(p: np.ndarray, w: np.ndarray | None, q: np.ndarray, log_q: np.ndarray) -> float:
+    """sum w p^2 q (1 - q) with q = (1-p)^n = exp(log_q): Var[M0] with every covariance dropped.
 
-    1 - q is -expm1(n log1p(-p)), which keeps full relative accuracy where
-    n p is below eps and q - q^2 would round to 0.
+    1 - q is -expm1(log_q), which keeps full relative accuracy where n p
+    is below eps and q - q^2 would round to 0; log_q = -inf at p == 1
+    gives 1 - q = 1.
     """
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1 - q = 1
-        return _compensated_sum(p * p * q * -np.expm1(n * np.log1p(-p)))
+    return _weighted_sum(p * p * q * -np.expm1(log_q), w)
 
 
 def _direct_sum(p: np.ndarray, q: np.ndarray, cut: np.ndarray, n: int, budget: int) -> float:
@@ -189,12 +215,13 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
             "iid_majorization_v gives an upper bound on Var[M0] at any size"
         )
     p = np.ascontiguousarray(np.sort(dist.probs)[::-1])
-    q = _pow_one_minus(p, n)
+    log_q = _log_one_minus(p, n)
+    q = np.exp(log_q)
     with np.errstate(divide="ignore", over="ignore"):  # inf at p == 1 and for t_i near 0
         t = math.sqrt(n) * (p / (1.0 - p))  # descending
         cut = np.searchsorted(-t, -_SERIES_X / t)  # first j with t_j <= _SERIES_X / t_i
     cut = np.maximum(cut, np.arange(1, m + 1))  # the series columns of row i start after i
-    diag = _diagonal_variance(p, q, n)
+    diag = _diagonal_variance(p, None, q, log_q)
     direct = _direct_sum(p, q, cut, n, max(m, _DIRECT_BUFFER))
     series, _, _ = _pair_series(p * q, t, cut, n)
     value = diag + 2.0 * (direct + series)
@@ -218,10 +245,10 @@ def approx_variance_thm1(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     informative and must stay visible to regression tests.
     """
     _require_sample_size(n)
-    p = dist.probs
+    p, w = _atoms(dist)
     q = _pow_one_minus(p, n)
-    a = _compensated_sum(p * p * q)
-    b = _compensated_sum(p * p * p * q)
+    a = _weighted_sum(p * p * q, w)
+    b = _weighted_sum(p * p * p * q, w)
     return VarianceEstimate(value=-n * a * a + n * b, method=VarianceMethod.THM1, n=n)
 
 
@@ -236,16 +263,16 @@ def poissonized_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     zero-mass atoms contribute exactly zero.
     """
     _require_sample_size(n)
-    p = dist.probs
+    p, w = _atoms(dist)
     with np.errstate(divide="ignore"):
         logp = np.log(p)  # p == 0 -> -inf -> exp -> 0
-    a = _compensated_sum(np.exp(2.0 * logp - n * p))
-    b = _compensated_sum(np.exp(3.0 * logp - n * p))
+    a = _weighted_sum(np.exp(2.0 * logp - n * p), w)
+    b = _weighted_sum(np.exp(3.0 * logp - n * p), w)
     return VarianceEstimate(value=-n * a * a + n * b, method=VarianceMethod.POISSONIZED, n=n)
 
 
 def expected_missing_mass(dist: DiscreteDistribution, n: int) -> float:
     """E[M0] = sum_s p_s (1-p_s)^n."""
     _require_sample_size(n)
-    p = dist.probs
-    return _compensated_sum(p * _pow_one_minus(p, n))
+    p, w = _atoms(dist)
+    return _weighted_sum(p * _pow_one_minus(p, n), w)

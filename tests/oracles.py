@@ -89,6 +89,37 @@ def profile_variance_mpmath(masses: list[float], counts: list[int], n: int) -> f
         return float(var)
 
 
+def profile_power_sums_mpmath(masses: list[float], counts: list[int], n: int) -> dict[str, tuple[float, float]]:
+    """The five power sums for ``counts[g]`` atoms of mass ``masses[g]`` each, in
+    mpmath at 50 digits, as {name: (value, scale)}; the scale is the sum of the
+    absolute values of the terms that make up the value, such as n a^2 + n b
+    for -n a^2 + n b. Names: thm1, poissonized, expected, subgamma, iid. The
+    masses are taken as the exact binary values of the given floats."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in masses]
+
+        def total(term):
+            return mpmath.fsum(c * term(v) for c, v in zip(counts, x))
+
+        def q(v):
+            return (1 - v) ** n
+
+        a, b = total(lambda v: v * v * q(v)), total(lambda v: v**3 * q(v))
+        pa, pb = total(lambda v: v * v * mpmath.exp(-n * v)), total(lambda v: v**3 * mpmath.exp(-n * v))
+        expected = total(lambda v: v * q(v))
+        iid = total(lambda v: v * v * (q(v) - q(v) ** 2))
+        out = {
+            "thm1": (-n * a * a + n * b, n * a * a + n * b),
+            "poissonized": (-n * pa * pa + n * pb, n * pa * pa + n * pb),
+            "expected": (expected, expected),
+            "subgamma": (a + expected / n, a + expected / n),
+            "iid": (iid, iid),
+        }
+        return {k: (float(v), float(s)) for k, (v, s) in out.items()}
+
+
 def lattice_alpha_max(b: float, grid: int = 2000, c_max: float = 20.0) -> float:
     """Max of -w^2 c^2 e^{-2c} + w c^2 e^{-c} on a grid x grid lattice of
     the feasible region {0 <= w <= min(1, b*c), 0 < c <= c_max}.

@@ -1,4 +1,6 @@
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +15,16 @@ from missingmass import (
     NotNormalizedError,
     VarianceMethod,
     ZeroSumError,
+    exact_variance,
+    expected_missing_mass,
     from_file,
     from_probs,
     gap_report,
     uniform,
     uniform_dirac,
+    worst_case_distribution,
 )
-from missingmass.dist import _SUM_WIDTH, _compensated_sum
+from missingmass.dist import _SUM_WIDTH, _compensated_sum, _weighted_sum
 from oracles import fsum_reference
 
 
@@ -356,3 +361,92 @@ class TestCompensatedSum:
         assert math.isnan(_compensated_sum(big))
         big[1] = math.nan
         assert math.isnan(_compensated_sum(big))
+
+
+def _runs(d):
+    """The run profile as plain lists, or None."""
+    runs = d._runs
+    return None if runs is None else (runs[0].tolist(), runs[1].tolist())
+
+
+class TestRunProfile:
+    """(values, counts) of the runs of equal consecutive masses, kept when the
+    runs average at least 8 atoms."""
+
+    def test_uniform_is_one_run(self):
+        assert _runs(uniform(1000)) == ([1e-3], [1000])
+
+    def test_worst_case_is_two_runs(self):
+        spec = worst_case_distribution(1000)
+        got = _runs(spec.to_distribution())
+        assert got == ([spec.atom_mass, spec.dirac_mass], [spec.atom_count, 1])
+        assert got[1] == [441, 1]
+
+    def test_distinct_masses_keep_the_vector(self):
+        w = 1.0 / np.arange(1, 1001)
+        assert _runs(from_probs(np.random.default_rng(0).permutation(w / w.sum()))) is None
+
+    def test_zero_padding_is_a_run(self):
+        d = from_probs(np.concatenate((np.full(300, 1 / 300), np.zeros(700))))
+        assert _runs(d) == ([1 / 300, 0.0], [300, 700])
+
+    def test_single_atom_keeps_the_vector(self):
+        assert _runs(from_probs([1.0])) is None
+
+    def test_runs_follow_atom_order(self):
+        # 500 atoms of 1/1000 and 250 of 1/500: two runs when grouped, about
+        # 330 runs shuffled, so the shuffled vector keeps the per-atom path.
+        p = np.concatenate((np.full(500, 1e-3), np.full(250, 2e-3)))
+        assert _runs(from_probs(p)) == ([1e-3, 2e-3], [500, 250])
+        assert _runs(from_probs(np.random.default_rng(0).permutation(p))) is None
+
+    def test_too_many_runs_keep_the_vector(self):
+        # Runs of 8 atoms are kept, runs of 7 are not.
+        for length, kept in ((8, True), (7, False)):
+            p = np.repeat(np.arange(1, 41.0), length)
+            assert (_runs(from_probs(p / p.sum())) is not None) == kept
+
+    def test_computed_only_on_first_use(self):
+        d = uniform(1000)
+        exact_variance(d, 100)
+        assert "_runs" not in vars(d)
+        expected_missing_mass(d, 100)
+        assert "_runs" in vars(d)
+
+    def test_filled_profile_pickles(self):
+        d = worst_case_distribution(1000).to_distribution()
+        want = expected_missing_mass(d, 1000)
+        back = pickle.loads(pickle.dumps(d))
+        assert np.array_equal(back.probs, d.probs)
+        assert not back.probs.flags.writeable
+        assert _runs(back) == _runs(d)
+        assert expected_missing_mass(back, 1000) == want
+
+
+class TestWeightedSum:
+    """sum w x over exact pieces of each product: correctly rounded while the
+    pieces, 2 per run, number fewer than one row."""
+
+    @staticmethod
+    def _exact(x, w) -> float:
+        return float(sum(Fraction(v) * int(c) for v, c in zip(x.tolist(), w.tolist())))
+
+    def test_none_is_the_compensated_sum(self):
+        x = _masses(np.random.default_rng(0), 3 * W + 5)
+        assert _weighted_sum(x, None) == _compensated_sum(x)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_correctly_rounded(self, seed):
+        # Terms over the whole range up to 1, subnormals included, and counts
+        # of up to 52 binary digits, across the 2^26 split.
+        rng = np.random.default_rng(seed)
+        runs = int(rng.integers(1, 200))
+        x = rng.choice([-1.0, 1.0], runs) * rng.random(runs) * np.exp2(rng.integers(-1100, 1, runs))
+        x[::7] = 5e-324 * rng.integers(1, 2**20, x[::7].size)
+        w = rng.integers(1, 2 ** rng.integers(1, 53, runs), dtype=np.int64)
+        assert _weighted_sum(x, w) == self._exact(x, w)
+
+    def test_all_ones_counts(self):
+        x = np.array([1.0 - 2.0**-53, 2.0**-1022 - 5e-324, 5e-324, 0.1])
+        w = np.array([2**52 - 1, 2**26 - 1, 2**26, 2**27 - 1], dtype=np.int64)
+        assert _weighted_sum(x, w) == self._exact(x, w)

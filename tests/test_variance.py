@@ -12,6 +12,7 @@ from missingmass import (
     exact_variance,
     expected_missing_mass,
     from_probs,
+    gap_report,
     iid_majorization_v,
     poissonized_variance,
     subgamma_v,
@@ -19,8 +20,16 @@ from missingmass import (
     worst_case_distribution,
 )
 from missingmass import variance
+from missingmass.dist import _SUM_WIDTH
 from missingmass.variance import _pair_series
-from oracles import enumeration_moments, pairwise_variance, profile_variance_mpmath, simplex_grid
+from oracles import (
+    enumeration_moments,
+    fsum_reference,
+    pairwise_variance,
+    profile_power_sums_mpmath,
+    profile_variance_mpmath,
+    simplex_grid,
+)
 
 
 def _zipf(m: int, seed: int = 0) -> np.ndarray:
@@ -468,6 +477,100 @@ class TestProperties:
             assert fn(perm, n).value == fn(d, n).value
         for fn in (expected_missing_mass, subgamma_v, iid_majorization_v):
             assert fn(perm, n) == fn(d, n)
+
+
+def _power_sums_over_atoms(p: np.ndarray, n: int) -> dict[str, float]:
+    """The five power sums from their per-atom terms, each sum by fsum_reference."""
+    with np.errstate(divide="ignore"):
+        log_q = n * np.log1p(-p)
+        logp = np.log(p)
+    q = np.exp(log_q)
+    a, b = fsum_reference(p * p * q), fsum_reference(p * p * p * q)
+    pa, pb = fsum_reference(np.exp(2.0 * logp - n * p)), fsum_reference(np.exp(3.0 * logp - n * p))
+    return {
+        "thm1": -n * a * a + n * b,
+        "poissonized": -n * pa * pa + n * pb,
+        "expected": fsum_reference(p * q),
+        "subgamma": a + fsum_reference(p * q) / n,
+        "iid": fsum_reference(p * p * q * -np.expm1(log_q)),
+    }
+
+
+def _power_sums(d, n: int) -> dict[str, float]:
+    return {
+        "thm1": approx_variance_thm1(d, n).value,
+        "poissonized": poissonized_variance(d, n).value,
+        "expected": expected_missing_mass(d, n),
+        "subgamma": subgamma_v(d, n),
+        "iid": iid_majorization_v(d, n),
+    }
+
+
+RUN_INPUTS = {
+    "uniform-8": lambda: uniform(8),
+    "uniform-2047": lambda: uniform(2047),
+    "worst-case-1000": lambda: worst_case_distribution(1000).to_distribution(),
+    "zero-padded": lambda: from_probs(np.concatenate((np.full(300, 1 / 300), np.zeros(700)))),
+    # counts 1023 and 1024: ten binary digits and one
+    "ten-digit-counts": lambda: from_probs(np.repeat([0.3 / 1023, 0.7 / 1024], [1023, 1024]), normalize=True),
+    # at n = 1e9 the block's q is about 1e-304 and its terms are subnormal
+    "underflowing": lambda: from_probs(np.append(np.full(1000, 7e-7), 1.0 - 7e-4)),
+}
+
+
+class TestRunProfilePowerSums:
+    """thm1, poissonized, expected_missing_mass, subgamma_v and iid_majorization_v
+    on inputs with a run profile, which they evaluate once per run."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_INPUTS))
+    @pytest.mark.parametrize("n", [1, 1000, 10**9])
+    def test_below_a_row_equal_fsum_over_the_atoms(self, name, n):
+        d = RUN_INPUTS[name]()
+        assert d._runs is not None and d.probs.size < _SUM_WIDTH
+        assert _power_sums(d, n) == _power_sums_over_atoms(d.probs, n)
+
+    def test_underflowing_terms_are_subnormal(self):
+        p = RUN_INPUTS["underflowing"]().probs
+        q = np.exp(10**9 * np.log1p(-p[:1]))
+        assert 0.0 < (p[:1] * p[:1] * q)[0] < 2.0**-1022
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: uniform(10**6), lambda: worst_case_distribution(10**6).to_distribution()],
+        ids=["uniform-1e6", "worst-case-1e6"],
+    )
+    def test_long_runs_match_mpmath(self, build):
+        # Bound fixed before the first run: each term has a relative error of
+        # a few eps (n log1p(-p) is O(1) here) and each sum is correctly
+        # rounded, so 1e-13 of the scale, the sum of the absolute terms.
+        pytest.importorskip("mpmath")
+        n = 10**6
+        d = build()
+        values, counts = d._runs
+        want = profile_power_sums_mpmath(values.tolist(), counts.tolist(), n)
+        for name, got in _power_sums(d, n).items():
+            value, scale = want[name]
+            assert abs(got - value) <= 1e-13 * scale, name
+
+    def test_long_runs_equal_fsum_over_the_atoms(self):
+        # One or two runs give 2 or 4 pieces, fewer than one row, so every sum
+        # is the correctly rounded one, fsum over the 4.4e5 atoms' terms.
+        d = worst_case_distribution(10**6).to_distribution()
+        assert _power_sums(d, 10**6) == _power_sums_over_atoms(d.probs, 10**6)
+
+    def test_memory_is_independent_of_the_atoms(self):
+        # Only the run scan's m-byte comparison is as long as the vector; the
+        # per-atom path needs several 8m-byte temporaries.
+        m, n = 10**6, 10**6
+        d = uniform(m)
+        tracemalloc.start()
+        try:
+            _power_sums(d, n)
+            gap_report(d, n, VarianceMethod.POISSONIZED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m
 
 
 class TestOccupancyMapMaxima:

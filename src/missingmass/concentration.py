@@ -39,7 +39,7 @@ from .variance import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapReport:
     n: int
     mode: VarianceMethod

@@ -273,9 +273,18 @@ class DiscreteDistribution:
             raise EmptyDistributionError("a distribution needs at least one atom")
         if np.any(arr < 0.0):
             raise NegativeMassError(f"negative mass: min entry {arr.min()!r}")
-        total = _compensated_sum(arr)
-        if not abs(total - 1.0) <= NORMALIZATION_ATOL:  # also catches a NaN or infinite total
-            raise NotNormalizedError(f"masses sum to {total!r}, not 1")
+        # m nonnegative masses summed in any order give a total within (m-1)
+        # eps of the exact sum, and the compensated sum is within about one
+        # rounding of it. So a plain total inside the tolerance by more than
+        # 2 m eps times itself is accepted, as the compensated sum would
+        # accept it; any other total, NaN and inf included, is decided by the
+        # compensated sum, which also words the rejection.
+        with np.errstate(over="ignore"):
+            total = float(np.add.reduce(arr))
+        if not abs(total - 1.0) <= NORMALIZATION_ATOL - 2.0 * arr.size * _UNIT_ROUNDOFF * total:
+            total = _compensated_sum(arr)
+            if not abs(total - 1.0) <= NORMALIZATION_ATOL:
+                raise NotNormalizedError(f"masses sum to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

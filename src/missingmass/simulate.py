@@ -44,7 +44,7 @@ BLOCK_BUDGET = 2**14
 MAX_BLOCK_TRIALS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationEstimate:
     """Empirical mean/variance of M0 over independent replications."""
 

@@ -14,11 +14,16 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   other pair is evaluated directly as p p' [(1-p-p')^n - q q']. The
   series columns of row i are therefore a suffix j >= J_i, and one
   ``searchsorted`` finds J_i for every row. Only rows with t_i > 1/2
-  (fewer than 2 sqrt(n) + 1 of them) have direct terms. These are
-  numbered row after row and evaluated in flat buffers of at most
-  max(m, 2^14) terms, each reduced by one compensated sum, so memory
-  stays O(m) and the Python-level calls grow with the buffers, not the
-  rows. The series is
+  (h < 2 sqrt(n) + 1 of them) have direct terms, each in [-a_i a_j, 0]
+  since (1-p_i-p_j)^n <= q_i q_j. A row whose terms therefore add up to
+  less than eps diag / h in size (eps = 2^-53, diag = sum p^2 q (1-q))
+  is left out before any of them is built; the rows left out raise the
+  result by at most 2 eps diag, never lower it. At n = 1e5 a row with
+  direct terms has a_i < e^-158, and on Zipf, near-uniform and
+  Dirichlet(0.1) inputs all of them go. The kept rows are numbered row
+  after row and evaluated in flat buffers of at most max(m, 2^14) terms,
+  each reduced by one compensated sum, so memory stays O(m) and the
+  Python-level calls grow with the buffers, not the rows. The series is
   sum_k (-1)^k c_k sum_i a_i t_i^k S_k[J_i],  c_k = C(n,k)/n^k,
   S_k[j] = sum_{l >= j} a_l t_l^k,
   whose k = 1 term, with every pair in the series, is Theorem 1's
@@ -29,11 +34,12 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   stops once that computed bound falls below one unit roundoff of scale.
   Each S_k is a running sum from the last atom, which adds its
   nonnegative terms smallest first with relative error at most
-  (m-1) eps, eps = 2^-53; since sum_k c_k 0.25^k <= e^{1/4} - 1 and
+  (m-1) eps; since sum_k c_k 0.25^k <= e^{1/4} - 1 and
   scale <= E[M0]^2/2, rounding moves the series by at most about
-  0.15 m eps E[M0]^2 (3.2e-13 E[M0]^2 at the cap). Cost
-  O(m log m + D + K m) for D direct terms and K series terms (K <= 12),
-  against m(m-1)/2 pair terms for the plain identity; the cap
+  0.15 m eps E[M0]^2 (3.2e-13 E[M0]^2 at the cap); the rows left out add
+  their 2 eps diag to that. Cost O(m log m + D_kept + K m) for the D_kept
+  direct terms of the kept rows and K series terms (K <= 12), against
+  m(m-1)/2 pair terms for the plain identity; the cap
   :data:`EXACT_ALPHABET_LIMIT` still applies.
 * ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n.
 * ``poissonized_variance``: the same shape with e^{-np} in place of
@@ -99,7 +105,7 @@ class VarianceMethod(Enum):
     POISSONIZED = "poissonized"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarianceEstimate:
     """Variance value tagged with the method and sample size that produced it."""
 
@@ -129,24 +135,36 @@ def _atoms(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray | None]:
     return (dist.probs, None) if runs is None else runs
 
 
-def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple[float, int, float]:
+def _suffix_sums(w: np.ndarray) -> np.ndarray:
+    """S[j] = sum_{l >= j} w_l for j = 0 ... w.size, a running sum from the last entry.
+
+    S[w.size] = 0 closes every row that ends at the last entry.
+    """
+    suffix = np.zeros(w.size + 1)
+    np.cumsum(w[::-1], out=suffix[-2::-1])
+    return suffix
+
+
+def _pair_series(
+    a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int, s0: np.ndarray | None = None
+) -> tuple[float, int, float]:
     """sum_i a_i sum_{j >= cut[i]} a_j [(1 - t_i t_j / n)^n - 1] for pairs with t_i t_j <= _SERIES_X.
 
     Expands the bracket binomially into sum_k (-1)^k c_k sum_i a_i t_i^k S_k[cut[i]]
     with c_k = C(n,k)/n^k and the suffix power sums S_k[j] = sum_{l >= j} a_l t_l^k,
     each a running sum taken from the end of the array, so for masses in
-    descending order the smallest terms are added first. Returns (value,
-    terms summed, bound on the dropped remainder); the bound is exactly 0
-    when the series ran to its last term k = n.
+    descending order the smallest terms are added first. ``s0`` is S_0,
+    ``_suffix_sums(a)``, where the caller has it. Returns
+    (value, terms summed, bound on the dropped remainder); the bound is
+    exactly 0 when the series ran to its last term k = n.
     """
     t = np.where(a > 0.0, t, 0.0)  # an atom with a = 0 adds nothing, even at t = inf (p = 1)
-    suffix = np.zeros(a.size + 1)  # suffix[a.size] = 0 closes every row that ends at the last atom
+    suffix = _suffix_sums(a) if s0 is None else s0
     w = a
     c = 1.0
     tail = 1.0  # x^(k+1)/(k+1)! with x = _SERIES_X: bounds term k+1 relative to terms[0]
     terms = []  # terms[0] = sum_i a_i S_0[cut[i]], the scale, is not part of the value
     for k in range(n + 1):
-        np.cumsum(w[::-1], out=suffix[-2::-1])
         terms.append((-1) ** k * c * float(np.sum(w * suffix[cut])))
         tail *= _SERIES_X / (k + 1)
         remainder = terms[0] * tail / (1.0 - _SERIES_X / (k + 2))
@@ -154,6 +172,7 @@ def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> tuple
             break
         c *= (n - k) / (n * (k + 1))
         w = w * t
+        suffix = _suffix_sums(w)
     return math.fsum(terms[1:]), k, (0.0 if k == n else remainder)
 
 
@@ -167,8 +186,28 @@ def _diagonal_variance(p: np.ndarray, w: np.ndarray | None, q: np.ndarray, log_q
     return _weighted_sum(p * p * q * -np.expm1(log_q), w)
 
 
-def _direct_sum(p: np.ndarray, q: np.ndarray, cut: np.ndarray, n: int, budget: int) -> float:
-    """sum over i < j < cut[i] of p_i p_j [(1-p_i-p_j)^n - q_i q_j], q = (1-p)^n.
+def _direct_rows(a: np.ndarray, s0: np.ndarray, cut: np.ndarray, diag: float) -> np.ndarray:
+    """The rows i with direct terms (i + 1 < cut[i]) whose terms can reach the rounding of the result.
+
+    Each direct term lies in [-a_i a_j, 0], a = p q, since (1-p_i-p_j)^n <=
+    q_i q_j (negative association), so row i's terms add up to at least
+    -a_i (S_0[i+1] - S_0[cut[i]]) with S_0 = ``_suffix_sums(a)``. Each
+    computed suffix sum is a running sum of nonnegative terms within (m-1)
+    eps of its value, so 2 (m+1) eps S_0[i+1] added to the computed
+    difference covers the rounding of both and of this bound. A row whose
+    bound is at most eps diag / h, for h rows with direct terms, is left out:
+    the rows left out move the result, diag + 2 (direct + series), up by at
+    most 2 eps diag, and never down.
+    """
+    rows = np.flatnonzero(cut > np.arange(1, a.size + 1))  # only rows with t_i > 1/2 have direct terms
+    reach = s0[rows + 1]
+    bound = a[rows] * (reach - s0[cut[rows]] + 2.0 * (a.size + 1) * _UNIT_ROUNDOFF * reach)
+    # strictly above, so that rows whose a_i underflowed to 0 go even where diag did too
+    return rows[bound > _UNIT_ROUNDOFF * diag / max(rows.size, 1)]
+
+
+def _direct_sum(p: np.ndarray, q: np.ndarray, rows: np.ndarray, cut: np.ndarray, n: int, budget: int) -> float:
+    """sum over the given rows i and i < j < cut[i] of p_i p_j [(1-p_i-p_j)^n - q_i q_j], q = (1-p)^n.
 
     The pairs are numbered row by row and taken ``budget`` at a time into
     flat buffers, whatever rows a buffer spans: ``np.repeat`` over the
@@ -176,7 +215,6 @@ def _direct_sum(p: np.ndarray, q: np.ndarray, cut: np.ndarray, n: int, budget: i
     reduced by one compensated sum and the buffer sums by one ``math.fsum``,
     so the Python-level work grows with the number of buffers, not of rows.
     """
-    rows = np.flatnonzero(cut > np.arange(1, p.size + 1))  # only rows with t_i > 1/2 have direct terms
     lengths = cut[rows] - rows - 1
     ends = np.cumsum(lengths)  # number of the pair just past each row's last
     offset = rows + 1 - (ends - lengths)  # j = pair number + its row's offset
@@ -196,11 +234,14 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     """Exact Var[M0]: pairs with t_i t_j > 1/4 term by term, all others by one series.
 
     The masses are sorted first, so the result does not depend on atom
-    order. The direct terms are built and compensated-summed in flat
-    buffers of at most max(m, _DIRECT_BUFFER) terms, so memory is O(m);
-    the series is truncated only below one unit roundoff of its own scale,
-    and its suffix sums' rounding is bounded in the module docstring. Cost
-    O(m log m + D + K m) for D direct terms and K <= 12 series terms.
+    order. Direct rows whose terms cannot reach eps diag / h in all are
+    left out (:func:`_direct_rows`), which raises the result by at most
+    2 eps diag, diag = sum p^2 q (1-q). The kept direct terms are built and
+    compensated-summed in flat buffers of at most max(m, _DIRECT_BUFFER)
+    terms, so memory is O(m); the series is truncated only below one unit
+    roundoff of its own scale, and its suffix sums' rounding is bounded in
+    the module docstring. Cost O(m log m + D_kept + K m) for D_kept kept
+    direct terms and K <= 12 series terms.
 
     A negative result within (m + 16) eps of sum p^2 q + 2(|direct| +
     |series|), the gross size of the terms that cancel, is rounding and
@@ -222,8 +263,10 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
         cut = np.searchsorted(-t, -_SERIES_X / t)  # first j with t_j <= _SERIES_X / t_i
     cut = np.maximum(cut, np.arange(1, m + 1))  # the series columns of row i start after i
     diag = _diagonal_variance(p, None, q, log_q)
-    direct = _direct_sum(p, q, cut, n, max(m, _DIRECT_BUFFER))
-    series, _, _ = _pair_series(p * q, t, cut, n)
+    a = p * q
+    s0 = _suffix_sums(a)
+    direct = _direct_sum(p, q, _direct_rows(a, s0, cut, diag), cut, n, max(m, _DIRECT_BUFFER))
+    series, _, _ = _pair_series(a, t, cut, n, s0)
     value = diag + 2.0 * (direct + series)
     if value < 0.0:
         # The diagonal's reference is p^2 q, which bounds its value

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: full outcome enumeration and the
 plain all-pairs covariance identity for the variance, ``math.fsum`` over
 Python floats for compensated sums, a 50-digit mpmath
-evaluation over (mass, multiplicity) groups, dense lattice scans for the
+evaluation over (mass, multiplicity) groups, a 60-digit mpmath binomial
+expansion over power sums for the light atoms, dense lattice scans for the
 optimizer, one-draw-at-a-time CDF lookups for a Monte-Carlo sample. These stay independent of the code paths they check.
 """
 
@@ -87,6 +88,49 @@ def profile_variance_mpmath(masses: list[float], counts: list[int], n: int) -> f
                 pairs = cg * (ch - 1) if g == h else cg * ch
                 var += pairs * xg * xh * ((1 - xg - xh) ** n - qg * qh)
         return float(var)
+
+
+def light_variance_mpmath(probs, n: int, dps: int = 60) -> tuple[float, float]:
+    """(Var[M0], bound) in mpmath at ``dps`` digits, with u = p/(1-p), for the
+    atoms with n u^2 <= 1/4 only, and the bound on what the others add.
+
+    For those light atoms the pairs' covariance terms, a a' [(1 - u u')^n - 1]
+    with a = p (1-p)^n, add up by the binomial theorem to
+    sum_{k=1}^{n} (-1)^k C(n, k) (A_k^2 - B_k), with A_k = sum a u^k and
+    B_k = sum a^2 u^(2k) taking out the s = s' terms. Since n u u' <= 1/4,
+    term k is at most A_0^2 0.25^k / k!, and the sum stops once that falls
+    below 10^-dps A_0^2. No pair is evaluated, so the cost is O(m k). Every
+    other atom is left out: its own term p^2 q (1-q) is at most p a, and its
+    covariance terms lie in [-a a', 0] (negative association), so all it adds
+    lies within a (p + 2 sum a') of 0; the bound is the sum of that over the
+    atoms left out. The masses are taken as the exact binary values of the
+    given floats."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in probs]
+        a = [v * (1 - v) ** n for v in x]
+        total_a = mpmath.fsum(a)
+        var = left_out = mpmath.mpf(0)
+        w, u = [], []  # a and u of the light atoms
+        for av, v in zip(a, x):
+            uv = v / (1 - v) if v < 1 else mpmath.inf
+            if n * uv * uv <= 0.25:
+                var += av * v * (1 - (1 - v) ** n)
+                w.append(av)
+                u.append(uv)
+            else:
+                left_out += av * (v + 2 * total_a)
+        w2 = [wv * wv for wv in w]
+        step = mpmath.mpf(1)  # 0.25^k / k!
+        for k in range(1, n + 1):
+            step /= 4 * k
+            if step < mpmath.mpf(10) ** -dps:
+                break
+            w = [wv * uv for wv, uv in zip(w, u)]
+            w2 = [wv * uv * uv for wv, uv in zip(w2, u)]
+            var += (-1) ** k * mpmath.binomial(n, k) * (mpmath.fsum(w) ** 2 - mpmath.fsum(w2))
+        return float(var), float(left_out)
 
 
 def profile_power_sums_mpmath(masses: list[float], counts: list[int], n: int) -> dict[str, tuple[float, float]]:

@@ -24,7 +24,8 @@ from missingmass import (
     uniform_dirac,
     worst_case_distribution,
 )
-from missingmass.dist import _SUM_WIDTH, _compensated_sum, _weighted_sum
+from missingmass import dist
+from missingmass.dist import NORMALIZATION_ATOL, _SUM_WIDTH, _compensated_sum, _weighted_sum
 from oracles import fsum_reference
 
 
@@ -174,6 +175,42 @@ class TestValidation:
         d = uniform(3)
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_plain_total_gives_the_compensated_verdict(self):
+        # The plain total decides only where it is within 2 m eps of the total
+        # inside the tolerance; totals drawn within a few such margins of
+        # 1 +- 1e-9 get the compensated sum's verdict and rejection message.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            m=st.integers(min_value=1, max_value=5000),
+            power=st.integers(min_value=1, max_value=30),
+            margins=st.floats(min_value=-4.0, max_value=4.0),
+            sign=st.sampled_from([-1.0, 1.0]),
+            seed=st.integers(min_value=0, max_value=2**32 - 1),
+        )
+        def check(m, power, margins, sign, seed):
+            w = np.random.default_rng(seed).random(m) ** power
+            target = 1.0 + sign * (NORMALIZATION_ATOL + margins * 2.0 * m * 2.0**-53)
+            arr = w * (target / math.fsum(w.tolist()))
+            total = _compensated_sum(arr)
+            if abs(total - 1.0) <= NORMALIZATION_ATOL:
+                DiscreteDistribution(arr)
+            else:
+                with pytest.raises(NotNormalizedError) as info:
+                    DiscreteDistribution(arr)
+                assert str(info.value) == f"masses sum to {total!r}, not 1"
+
+        check()
+
+    def test_a_plain_total_far_inside_the_tolerance_needs_no_compensated_sum(self, monkeypatch):
+        probs = uniform(10**6).probs
+        calls = []
+        monkeypatch.setattr(dist, "_compensated_sum", lambda x: calls.append(x.size) or _compensated_sum(x))
+        from_probs(probs)
+        assert calls == []
 
 
 class TestFromFile:

@@ -1,8 +1,10 @@
-"""The package's lazy public names, and the numpy-free solver commands."""
+"""The package's lazy public names, the numpy-free solver commands, and its result records."""
 
+import dataclasses
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -76,3 +78,30 @@ def test_re_exported_size_names():
     assert dist.INFINITE is sizes.INFINITE
     assert dist.AlphabetBound is sizes.AlphabetBound
     assert variance.AlphabetTooLargeError is sizes.AlphabetTooLargeError
+
+
+def _results():
+    d = missingmass.from_probs([0.5, 0.3, 0.2])
+    return [
+        (missingmass.exact_variance(d, 10), ("value", "method", "n")),
+        (
+            missingmass.gap_report(d, 10),
+            ("n", "mode", "true_variance", "subgamma_v", "iid_major_v", "gap_subgamma", "gap_iid"),
+        ),
+        (missingmass.estimate_variance(d, 10, 50, seed=1), ("trials", "mean", "variance", "se_mean", "se_variance", "seed")),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["VarianceEstimate", "GapReport", "SimulationEstimate"])
+def test_result_objects_are_slotted_records(index):
+    # Slots keep a kept result small; pickling, dataclasses.replace and the
+    # dataclasses.asdict field order that the CLI writes stay as they were.
+    result, fields = _results()[index]
+    assert not hasattr(result, "__dict__")
+    assert pickle.loads(pickle.dumps(result)) == result
+    first = fields[0]
+    changed = dataclasses.replace(result, **{first: getattr(result, first)})
+    assert changed == result and changed is not result
+    assert tuple(dataclasses.asdict(result)) == fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(result, first, None)

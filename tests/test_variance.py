@@ -25,6 +25,7 @@ from missingmass.variance import _pair_series
 from oracles import (
     enumeration_moments,
     fsum_reference,
+    light_variance_mpmath,
     pairwise_variance,
     profile_power_sums_mpmath,
     profile_variance_mpmath,
@@ -219,9 +220,10 @@ class TestExactAgainstPairwise:
         assert n * want == pytest.approx(scaled, abs=1e-7)
 
 
-def _buffer_sizes(monkeypatch, budget: int) -> list[int]:
+def _buffer_sizes(monkeypatch, budget: int | None = None) -> list[int]:
     """Make exact_variance pack its direct terms into buffers of ``budget``
-    terms; the returned list fills with the size of each buffer summed."""
+    terms, or of its own size when None; the returned list fills with the
+    size of each buffer summed, so it adds up to the direct terms built."""
     sizes = []
     direct_sum, compensated_sum = variance._direct_sum, variance._compensated_sum
 
@@ -229,19 +231,42 @@ def _buffer_sizes(monkeypatch, budget: int) -> list[int]:
         sizes.append(x.size)
         return compensated_sum(x)
 
-    def packed(p, q, cut, n, _budget):
+    def packed(p, q, rows, cut, n, own_budget):
         with monkeypatch.context() as mp:
             mp.setattr(variance, "_compensated_sum", buffer_sum)
-            return direct_sum(p, q, cut, n, budget)
+            return direct_sum(p, q, rows, cut, n, own_budget if budget is None else budget)
 
     monkeypatch.setattr(variance, "_direct_sum", packed)
     return sizes
 
 
-def _direct_pairs(probs: np.ndarray, n: int) -> int:
-    """Pairs with t_i t_j > 1/4, the ones evaluated term by term, by brute force."""
-    t = _t(probs, n)
-    return int(np.count_nonzero(np.triu(np.multiply.outer(t, t) > 0.25, 1)))
+def _direct_partners(probs: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """For the masses in descending order, each row's partners j > i with
+    t_i t_j > 1/4, the pairs evaluated term by term, by brute force; rows
+    without partners are left out."""
+    p = np.sort(probs)[::-1]
+    t = _t(p, n)
+    rows = [np.flatnonzero(t[i] * t[i + 1 :] > 0.25) + i + 1 for i in range(p.size)]
+    return [(i, js) for i, js in enumerate(rows) if js.size]
+
+
+def _direct_pairs(probs: np.ndarray, n: int, kept: bool = True) -> int:
+    """Pairs evaluated term by term, by brute force: with ``kept``, only
+    those of the rows whose terms can reach the result's rounding. Every
+    direct term lies in [-a_i a_j, 0], a = p (1-p)^n, and a row is kept when
+    a_i sum_j a_j over its partners, with the 2 (m+1) eps margin
+    exact_variance allows for its own running sums, exceeds eps sum p^2 q (1-q)
+    over the number of rows with direct terms."""
+    rows = _direct_partners(probs, n)
+    if kept and rows:
+        p = np.sort(probs)[::-1]
+        with np.errstate(divide="ignore"):
+            log_q = n * np.log1p(-p)
+        a = (p * np.exp(log_q)).tolist()
+        floor = 2.0**-53 * math.fsum((p * p * np.exp(log_q) * -np.expm1(log_q)).tolist()) / len(rows)
+        margin = 2.0 * (p.size + 1) * 2.0**-53
+        rows = [(i, js) for i, js in rows if a[i] * (math.fsum(a[j] for j in js) + margin * math.fsum(a[i + 1 :])) > floor]
+    return sum(js.size for _, js in rows)
 
 
 #: At n = 100 only the first atom's row has direct terms, all 40 of them
@@ -252,12 +277,13 @@ _ONE_HEAVY_ROW = np.r_[0.1, np.full(40, 0.9 / 40)]
 class TestDirectBuffers:
     """exact_variance's direct terms, packed row after row into flat buffers
     of at most max(m, 2^14) terms, against the all-pairs identity within
-    1e-12 of E[M0]^2 + sum p^2 q."""
+    1e-12 of E[M0]^2 + sum p^2 q. Only the rows that can reach the result's
+    rounding reach a buffer."""
 
     @pytest.mark.parametrize(
         "probs, n, budget",
         [
-            (_dirichlet(1200), 100000, 2**14),  # 25 214 terms: the budget at this m, 2 buffers
+            (_near_uniform(150), 5775, 1000),  # 9136 terms in 105 kept rows (2 left out): 10 buffers
             (_near_uniform(20), 100, 7),  # 189 terms in rows of 2 to 19: 27 buffers, rows cut across them
             (_ONE_HEAVY_ROW, 100, 7),  # the row of 40 terms spans 6 buffers
             (_ONE_HEAVY_ROW, 100, 40),  # exactly one budget
@@ -272,25 +298,85 @@ class TestDirectBuffers:
         assert total == _direct_pairs(d.probs, n)
         assert sizes == [budget] * (total // budget) + ([total % budget] if total % budget else [])
 
+    @staticmethod
+    def _sum_calls(monkeypatch, budget: int) -> tuple[int, list[int]]:
+        """(Python-level sums, buffer sizes) of exact_variance on 150 near-uniform
+        atoms at n = 5775, with buffers of max(m, ``budget``) terms."""
+        d = from_probs(_near_uniform(150), normalize=True)
+        sizes, fsums = [], []
+        compensated_sum, fsum = variance._compensated_sum, math.fsum
+        monkeypatch.setattr(variance, "_DIRECT_BUFFER", budget)
+        monkeypatch.setattr(variance, "_compensated_sum", lambda x: sizes.append(x.size) or compensated_sum(x))
+        monkeypatch.setattr(math, "fsum", lambda x: fsums.append(1) or fsum(x))
+        exact_variance(d, 5775)
+        monkeypatch.undo()
+        assert len(_direct_partners(d.probs, 5775)) > 100 and sum(sizes) == _direct_pairs(d.probs, 5775)
+        return len(sizes) + len(fsums), sizes
+
     def test_calls_grow_with_buffers_not_rows(self, monkeypatch):
         # Python-level sums per exact_variance: a few fixed ones plus one
-        # compensated sum per buffer. Below one row of the column view, a
-        # compensated sum adds two math.fsum calls over the 128 partials its
-        # fold leaves, or one over its terms where they span few binades:
-        # here the diagonal's (m < one row, terms over about a thousand
-        # binades) adds two, both buffers are longer, and the call count is 7.
-        m, n = 1200, 100000
-        d = from_probs(_dirichlet(m), normalize=True)
-        rows = int(np.count_nonzero(_t(d.probs, n) > 0.5))
-        buffers = -(-_direct_pairs(d.probs, n) // max(m, 2**14))
-        calls = []
-        compensated_sum, fsum = variance._compensated_sum, math.fsum
-        monkeypatch.setattr(variance, "_compensated_sum", lambda x: calls.append(1) or compensated_sum(x))
-        monkeypatch.setattr(math, "fsum", lambda x: calls.append(1) or fsum(x))
+        # compensated sum per buffer. Here the diagonal (150 terms, through
+        # dist's own compensated sum) adds one math.fsum, the direct and the
+        # series' sums one each, and the 105 kept rows share one buffer of
+        # 9136 terms, longer than a 2048-term row, which adds no math.fsum.
+        calls, sizes = self._sum_calls(monkeypatch, 2**14)
+        assert len(sizes) == 1 and calls <= 4
+
+    def test_calls_grow_with_smaller_buffers(self, monkeypatch):
+        # 10 buffers shorter than one row: each adds at most two math.fsum
+        # calls over the 128 partials its fold leaves.
+        calls, sizes = self._sum_calls(monkeypatch, 1000)
+        assert len(sizes) == 10 and calls <= 3 + 3 * 10
+
+
+class TestDirectRowSkip:
+    """Rows whose direct terms cannot reach the result's rounding are left out."""
+
+    @pytest.mark.parametrize(
+        "probs, n, kept, built_before",
+        [
+            (_dirichlet(1200), 100000, 0, 25214),  # 163 rows, every a_i below e^-158
+            (_zipf(1600), 1000, 26, 147),  # 4 of 7 rows kept
+            (_near_uniform(2000), 10**8, 0, 1999000),  # every pair direct, every q and the diagonal underflow to 0
+        ],
+    )
+    def test_direct_terms_built(self, monkeypatch, probs, n, kept, built_before):
+        d = from_probs(probs, normalize=True)
+        sizes = _buffer_sizes(monkeypatch)
         exact_variance(d, n)
-        monkeypatch.undo()
-        assert rows > 100 and buffers == 2
-        assert len(calls) <= 4 + 2 * buffers
+        assert sum(sizes) == kept == _direct_pairs(d.probs, n)
+        assert _direct_pairs(d.probs, n, kept=False) == built_before
+
+    def test_all_rows_left_out_matches_mpmath(self):
+        pytest.importorskip("mpmath")
+        d, n = from_probs(_dirichlet(1200), normalize=True), 100000
+        want, left_out = light_variance_mpmath(d.probs, n)
+        scale = _cancel_scale(d, n)
+        assert left_out <= 1e-20 * scale
+        assert abs(exact_variance(d, n).value - want) <= 1e-12 * scale
+
+    def test_properties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            shape=st.sampled_from(["zipf", "dirichlet"]),
+            m=st.integers(min_value=2, max_value=400),
+            n=st.sampled_from([1, 2, 10, 100, 1000, 10**4, 10**5, 10**6]),
+            seed=st.integers(min_value=0, max_value=2**32 - 1),
+        )
+        def check(shape, m, n, seed):
+            d = from_probs(SHAPES[shape](m, seed), normalize=True)
+            value = exact_variance(d, n).value
+            perm = from_probs(np.random.default_rng(seed).permutation(d.probs))
+            assert exact_variance(perm, n).value == value
+            # the rows left out raise the result by at most 2 eps sum p^2 q (1-q),
+            # and the diagonal and iid_majorization_v are each within one rounding
+            assert 0.0 <= value <= iid_majorization_v(d, n) * (1.0 + 4 * 2.0**-53)
+            _assert_matches_pairwise(d, n)
+
+        check()
 
 
 class TestClamp:

@@ -20,12 +20,10 @@ __version__ = "0.1.0"
 #: Each public name and the submodule it lives in.
 _EXPORTS = {
     "AlphabetBound": "sizes",
-    "AlphabetTooLargeError": "sizes",
     "BracketError": "extremal",
     "DiscreteDistribution": "dist",
     "DistributionError": "dist",
     "EmptyDistributionError": "dist",
-    "EXACT_ALPHABET_LIMIT": "variance",
     "ExtremalSolution": "extremal",
     "GapReport": "concentration",
     "INFINITE": "sizes",

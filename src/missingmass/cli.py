@@ -7,8 +7,7 @@ are rendered with 17 significant digits, so emitted files re-parse to the
 same doubles and re-emit byte-identically.
 
 Exit codes: 0 success, 2 input error (or a result that is not finite,
-which is never printed as NaN or Infinity), 3 alphabet too large for
-exact mode, 4 output I/O error.
+which is never printed as NaN or Infinity), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import sys
 from typing import Iterable, Sequence
 
 from . import extremal
-from .sizes import INFINITE, AlphabetTooLargeError
+from .sizes import INFINITE
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_TOO_LARGE = 3
 EXIT_IO = 4
 
 #: --method and --mode values: the VarianceMethod member and the variance
@@ -222,9 +220,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AlphabetTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
     except (ValueError, OSError) as exc:  # DistributionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -66,7 +66,7 @@ def _subgamma(p: np.ndarray, w: np.ndarray | None, q: np.ndarray, n: int) -> flo
 
 def subgamma_v(dist: DiscreteDistribution, n: int) -> float:
     """Sub-gamma variance factor sum p^2 q + (1/n) sum p q, q = (1-p)^n."""
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     p, w = _atoms(dist)
     return _subgamma(p, w, _pow_one_minus(p, n), n)
 
@@ -77,7 +77,7 @@ def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
     Equals sum p^2 ((1-p)^n - (1-p)^{2n}), i.e. exact_variance without the
     pairwise part, so it upper-bounds the true variance.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     p, w = _atoms(dist)
     log_q = _log_one_minus(p, n)
     return _diagonal_variance(p, w, np.exp(log_q), log_q)
@@ -85,6 +85,7 @@ def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
 
 def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = VarianceMethod.EXACT) -> GapReport:
     """Assemble both factors and their gaps against the chosen true variance."""
+    n = _require_sample_size(n)
     if mode == VarianceMethod.EXACT:
         true = exact_variance(dist, n).value
     elif mode == VarianceMethod.POISSONIZED:
@@ -120,7 +121,7 @@ def max_subgamma_uniform_dirac(n: int, max_atoms: int | None = None) -> Subgamma
     finer (it approaches 1 when k -> infinity with w = 1), so the reported
     maximum is a property of the searched range, not a universal constant.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     k = int(50 * n if max_atoms is None else max_atoms)
     if k < 1:
         raise ValueError(f"max_atoms must be at least 1, got {max_atoms!r}")

@@ -188,7 +188,7 @@ def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -
     below :data:`~missingmass.sizes.DIRAC_OMIT_THRESHOLD`. With no atom
     (n < c*) ``atom_mass`` is 0, not p1.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     bound = m if isinstance(m, AlphabetBound) else AlphabetBound(m)
     if bound.is_finite and bound.value < 2:
         raise InvalidAlphabetError(f"need at least 2 alphabet symbols, got {bound.value:g}")

@@ -88,7 +88,7 @@ def _trial_block(probs: np.ndarray, cdf: np.ndarray, n: int, key: np.ndarray, bl
 def sample_missing_mass(dist: DiscreteDistribution, n: int, seed: int) -> float:
     """Total mass of the symbols unseen in one n-draw sample: trial 0 of
     ``estimate_variance`` with the same seed."""
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     probs = dist.probs
     return float(_trial_block(probs, np.cumsum(probs), n, _master_key(seed), 0, 1)[0])
 
@@ -105,7 +105,7 @@ def estimate_variance(
     ``workers`` caps the threads that run trial blocks; the output is a
     pure function of (dist, n, trials, seed) for every worker count.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if workers < 1:

@@ -1,13 +1,14 @@
 """Sample and alphabet sizes: the checks and markers every module shares.
 
 This module imports no numpy, so the extremal solver and the commands
-that use only it start without numpy. ``dist`` and ``variance``
-re-export its names.
+that use only it start without numpy. ``dist`` re-exports
+``INFINITE`` and ``AlphabetBound``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -19,16 +20,23 @@ DIRAC_OMIT_THRESHOLD = 1e-12
 INFINITE = math.inf
 
 
-class AlphabetTooLargeError(ValueError):
-    """Raised when exact evaluation is asked for more than ``variance.EXACT_ALPHABET_LIMIT`` atoms."""
+def _require_sample_size(n: int) -> int:
+    """The sample size n as a Python int, or ValueError: n must be an integer from 1 to the largest float.
 
-
-def _require_sample_size(n: int) -> None:
-    """Reject a sample size below 1, or one that no float can hold."""
+    Any integer type passes, numpy's included (``operator.index``), and
+    comes back as a Python int, so that no fixed-width integer overflows
+    downstream; a float does not pass, even one with an integral value
+    such as 1000.0.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"sample size must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if n > sys.float_info.max:  # compared exactly; float(n) would overflow
         raise ValueError(f"sample size must be at most {sys.float_info.max:g}, the largest float")
+    return n
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,14 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   is left out before any of them is built; the rows left out raise the
   result by at most 2 eps diag, never lower it. At n = 1e5 a row with
   direct terms has a_i < e^-158, and on Zipf, near-uniform and
-  Dirichlet(0.1) inputs all of them go. The kept rows are numbered row
-  after row and evaluated in flat buffers of at most max(m, 2^14) terms,
-  each reduced by one compensated sum, so memory stays O(m) and the
-  Python-level calls grow with the buffers, not the rows. The series is
+  Dirichlet(0.1) inputs all of them go. The kept rows' terms are numbered
+  row after row into one array and reduced by one compensated sum. Few
+  are kept at any m: row i's partners j have n p_i p_j above about 1/4,
+  so there are at most about 4 n p_i of them, and the row is kept only while
+  q_i = (1-p_i)^n is not far below eps, which holds n p_i to a few dozen
+  (an argument, not a proof). A search over about 30 000 inputs up to
+  m = 20000 kept at most 12 314 terms, for 160 near-uniform atoms at
+  n = 6442. The series is
   sum_k (-1)^k c_k sum_i a_i t_i^k S_k[J_i],  c_k = C(n,k)/n^k,
   S_k[j] = sum_{l >= j} a_l t_l^k,
   whose k = 1 term, with every pair in the series, is Theorem 1's
@@ -36,11 +40,10 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   nonnegative terms smallest first with relative error at most
   (m-1) eps; since sum_k c_k 0.25^k <= e^{1/4} - 1 and
   scale <= E[M0]^2/2, rounding moves the series by at most about
-  0.15 m eps E[M0]^2 (3.2e-13 E[M0]^2 at the cap); the rows left out add
+  0.15 m eps E[M0]^2, a bound that grows with m; the rows left out add
   their 2 eps diag to that. Cost O(m log m + D_kept + K m) for the D_kept
   direct terms of the kept rows and K series terms (K <= 12), against
-  m(m-1)/2 pair terms for the plain identity; the cap
-  :data:`EXACT_ALPHABET_LIMIT` still applies.
+  m(m-1)/2 pair terms for the plain identity, and memory O(m) at any m.
 * ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n.
 * ``poissonized_variance``: the same shape with e^{-np} in place of
   (1-p)^n, friendlier for analysis.
@@ -56,8 +59,7 @@ keeps full relative accuracy, and atom sums go through the vectorised
 compensated sum ``dist._compensated_sum`` (Sum2 of Ogita, Rump & Oishi),
 so that 1e6-atom inputs do not drown the O(1/n) signal in rounding noise.
 The series' suffix sums are plain running sums with the bound above, and
-its at most 12 terms, like the direct buffers' sums, go through one
-``math.fsum``.
+its at most 12 terms go through one ``math.fsum``.
 
 The O(m) power sums (thm1, poissonized, ``expected_missing_mass`` and
 the diagonal that ``concentration`` shares) run over the distribution's
@@ -80,23 +82,11 @@ from enum import Enum
 import numpy as np
 
 from .dist import _UNIT_ROUNDOFF, DiscreteDistribution, _compensated_sum, _weighted_sum
-from .sizes import AlphabetTooLargeError, _require_sample_size
-
-#: exact_variance refuses alphabets beyond this size. For larger m,
-#: iid_majorization_v, Var[M0] with every covariance dropped, bounds it from
-#: above, since the covariances are negative; approx_variance_thm1 and
-#: poissonized_variance are no stand-in, being about 3x the exact value at
-#: worst_case_distribution(1000).
-EXACT_ALPHABET_LIMIT = 20000
+from .sizes import _require_sample_size
 
 #: A pair with t_i t_j at most this goes to the series, any other pair is
 #: evaluated term by term (see the module docstring).
 _SERIES_X = 0.25
-
-#: Direct terms are built and summed in buffers of at most max(m, this)
-#: terms: O(m) memory, and few enough buffers that per-call overhead stays
-#: below the arithmetic.
-_DIRECT_BUFFER = 2**14
 
 
 class VarianceMethod(Enum):
@@ -145,21 +135,19 @@ def _suffix_sums(w: np.ndarray) -> np.ndarray:
     return suffix
 
 
-def _pair_series(
-    a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int, s0: np.ndarray | None = None
-) -> tuple[float, int, float]:
+def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int, s0: np.ndarray) -> tuple[float, int, float]:
     """sum_i a_i sum_{j >= cut[i]} a_j [(1 - t_i t_j / n)^n - 1] for pairs with t_i t_j <= _SERIES_X.
 
     Expands the bracket binomially into sum_k (-1)^k c_k sum_i a_i t_i^k S_k[cut[i]]
     with c_k = C(n,k)/n^k and the suffix power sums S_k[j] = sum_{l >= j} a_l t_l^k,
     each a running sum taken from the end of the array, so for masses in
     descending order the smallest terms are added first. ``s0`` is S_0,
-    ``_suffix_sums(a)``, where the caller has it. Returns
+    ``_suffix_sums(a)``, which the caller has already built. Returns
     (value, terms summed, bound on the dropped remainder); the bound is
     exactly 0 when the series ran to its last term k = n.
     """
     t = np.where(a > 0.0, t, 0.0)  # an atom with a = 0 adds nothing, even at t = inf (p = 1)
-    suffix = _suffix_sums(a) if s0 is None else s0
+    suffix = s0
     w = a
     c = 1.0
     tail = 1.0  # x^(k+1)/(k+1)! with x = _SERIES_X: bounds term k+1 relative to terms[0]
@@ -206,28 +194,21 @@ def _direct_rows(a: np.ndarray, s0: np.ndarray, cut: np.ndarray, diag: float) ->
     return rows[bound > _UNIT_ROUNDOFF * diag / max(rows.size, 1)]
 
 
-def _direct_sum(p: np.ndarray, q: np.ndarray, rows: np.ndarray, cut: np.ndarray, n: int, budget: int) -> float:
+def _direct_sum(p: np.ndarray, q: np.ndarray, rows: np.ndarray, cut: np.ndarray, n: int) -> float:
     """sum over the given rows i and i < j < cut[i] of p_i p_j [(1-p_i-p_j)^n - q_i q_j], q = (1-p)^n.
 
-    The pairs are numbered row by row and taken ``budget`` at a time into
-    flat buffers, whatever rows a buffer spans: ``np.repeat`` over the
-    rows' starts and lengths gives each term's (i, j). Each buffer is
-    reduced by one compensated sum and the buffer sums by one ``math.fsum``,
-    so the Python-level work grows with the number of buffers, not of rows.
+    The pairs are numbered row after row, ``np.repeat`` over the rows'
+    starts and lengths gives each term's (i, j), and one compensated sum
+    adds them all.
     """
+    if not rows.size:  # most inputs keep no row; this skips a dozen numpy calls on empty arrays
+        return 0.0
     lengths = cut[rows] - rows - 1
-    ends = np.cumsum(lengths)  # number of the pair just past each row's last
-    offset = rows + 1 - (ends - lengths)  # j = pair number + its row's offset
-    total = int(ends[-1]) if rows.size else 0
-    sums = []
-    for lo in range(0, total, budget):
-        hi = min(lo + budget, total)
-        counts = np.diff(np.clip(ends, lo, hi), prepend=lo)
-        i = np.repeat(rows, counts)
-        j = np.repeat(offset, counts) + np.arange(lo, hi)
-        pi, pj = p[i], p[j]
-        sums.append(_compensated_sum(pi * pj * (_pow_one_minus(np.minimum(pi + pj, 1.0), n) - q[i] * q[j])))
-    return math.fsum(sums)
+    offset = rows + 1 - (np.cumsum(lengths) - lengths)  # j = pair number + its row's offset
+    i = np.repeat(rows, lengths)
+    j = np.repeat(offset, lengths) + np.arange(i.size)
+    pi, pj = p[i], p[j]
+    return _compensated_sum(pi * pj * (_pow_one_minus(np.minimum(pi + pj, 1.0), n) - q[i] * q[j]))
 
 
 def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
@@ -236,25 +217,20 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     The masses are sorted first, so the result does not depend on atom
     order. Direct rows whose terms cannot reach eps diag / h in all are
     left out (:func:`_direct_rows`), which raises the result by at most
-    2 eps diag, diag = sum p^2 q (1-q). The kept direct terms are built and
-    compensated-summed in flat buffers of at most max(m, _DIRECT_BUFFER)
-    terms, so memory is O(m); the series is truncated only below one unit
-    roundoff of its own scale, and its suffix sums' rounding is bounded in
-    the module docstring. Cost O(m log m + D_kept + K m) for D_kept kept
-    direct terms and K <= 12 series terms.
+    2 eps diag, diag = sum p^2 q (1-q). The kept direct terms, few at any
+    m (see the module docstring), are built and compensated-summed in one
+    pass; the series is truncated only below one unit roundoff of its own
+    scale, and its suffix sums' rounding, about 0.15 m eps E[M0]^2, grows
+    with m. Cost O(m log m + D_kept + K m) for D_kept kept direct terms and
+    K <= 12 series terms, memory O(m), at any alphabet size.
 
     A negative result within (m + 16) eps of sum p^2 q + 2(|direct| +
     |series|), the gross size of the terms that cancel, is rounding and
     becomes 0; anything below that is returned as it is, so that a fault
     shows however small the variance.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     m = dist.probs.size
-    if m > EXACT_ALPHABET_LIMIT:
-        raise AlphabetTooLargeError(
-            f"{m} atoms exceeds the exact-mode limit of {EXACT_ALPHABET_LIMIT}; "
-            "iid_majorization_v gives an upper bound on Var[M0] at any size"
-        )
     p = np.ascontiguousarray(np.sort(dist.probs)[::-1])
     log_q = _log_one_minus(p, n)
     q = np.exp(log_q)
@@ -265,7 +241,7 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     diag = _diagonal_variance(p, None, q, log_q)
     a = p * q
     s0 = _suffix_sums(a)
-    direct = _direct_sum(p, q, _direct_rows(a, s0, cut, diag), cut, n, max(m, _DIRECT_BUFFER))
+    direct = _direct_sum(p, q, _direct_rows(a, s0, cut, diag), cut, n)
     series, _, _ = _pair_series(a, t, cut, n, s0)
     value = diag + 2.0 * (direct + series)
     if value < 0.0:
@@ -287,7 +263,7 @@ def approx_variance_thm1(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     Returned unclamped: slightly negative outputs on degenerate inputs are
     informative and must stay visible to regression tests.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     p, w = _atoms(dist)
     q = _pow_one_minus(p, n)
     a = _weighted_sum(p * p * q, w)
@@ -305,7 +281,7 @@ def poissonized_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     log-domain form that neither overflows nor loses the small-p regime;
     zero-mass atoms contribute exactly zero.
     """
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     p, w = _atoms(dist)
     with np.errstate(divide="ignore"):
         logp = np.log(p)  # p == 0 -> -inf -> exp -> 0
@@ -316,6 +292,6 @@ def poissonized_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate
 
 def expected_missing_mass(dist: DiscreteDistribution, n: int) -> float:
     """E[M0] = sum_s p_s (1-p_s)^n."""
-    _require_sample_size(n)
+    n = _require_sample_size(n)
     p, w = _atoms(dist)
     return _weighted_sum(p * _pow_one_minus(p, n), w)

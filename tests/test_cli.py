@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from missingmass import extremal
+from missingmass import cli, dist, extremal, variance
 from missingmass.cli import _geomspace, _linspace, main
+from oracles import profile_variance_mpmath
 
 #: A size past the largest float: any float(n) on it overflows.
 HUGE = str(10**400)
@@ -65,12 +68,24 @@ class TestVarianceCommand:
         code, _, _ = run(capsys, "variance", "--dist", dist_file("0.5\nxyz\n"), "--n", "2")
         assert code == 2
 
-    def test_too_large_exits_3(self, capsys, dist_file):
-        m = 20001
-        content = "\n".join([repr(1.0 / m)] * m)
-        code, _, err = run(capsys, "variance", "--dist", dist_file(content), "--n", "5", "--method", "exact")
-        assert code == 3
-        assert "exceeds" in err
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(("variance", "--method", "exact"), "value"), (("gap", "--mode", "exact"), "true_variance")],
+        ids=["variance", "gap"],
+    )
+    def test_above_the_old_cap_exits_0(self, capsys, dist_file, argv, field):
+        # one atom past the 20000 that exact mode once refused with exit 3
+        pytest.importorskip("mpmath")
+        m, n = 20001, 5
+        path = dist_file("\n".join([repr(1.0 / m)] * m))
+        code, out, _ = run(capsys, argv[0], "--dist", path, "--n", str(n), *argv[1:])
+        assert code == 0
+        value = json.loads(out)[field]
+        d = dist.from_file(path)
+        assert value == variance.exact_variance(d, n).value
+        want = profile_variance_mpmath([1.0 / m], [m], n)
+        p, e = 1.0 / m, variance.expected_missing_mass(d, n)
+        assert abs(value - want) <= 1e-12 * (e * e + p * e)  # E[M0]^2 + sum p^2 q, as p q sums to E[M0]
 
     def test_out_file(self, capsys, dist_file, tmp_path):
         out_path = tmp_path / "r.json"
@@ -374,6 +389,16 @@ class TestExitCodeContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_documented_exit_codes_are_the_defined_ones(self):
+        # the codes in the module docstring and in README's "Exit codes:"
+        # sentence, against the EXIT_* constants the module defines
+        defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for text in (cli.__doc__, readme):
+            sentence = re.search(r"Exit codes:(.*?)\.(\s|$)", text, re.S).group(1)
+            assert {int(code) for code in re.findall(r"\b\d+\b", sentence)} == defined
 
 
 def _ulps(got: list[float], want: np.ndarray) -> np.ndarray:

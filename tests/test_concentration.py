@@ -2,7 +2,6 @@ import pytest
 
 from missingmass import (
     INFINITE,
-    AlphabetTooLargeError,
     VarianceMethod,
     exact_variance,
     from_probs,
@@ -85,9 +84,12 @@ class TestGapReport:
         with pytest.raises(ValueError):
             gap_report(uniform(2), 2, VarianceMethod.THM1)
 
-    def test_size_limit_propagates(self):
-        with pytest.raises(AlphabetTooLargeError):
-            gap_report(uniform(20001), 10, VarianceMethod.EXACT)
+    def test_exact_mode_above_the_old_cap(self):
+        # one atom past the 20000 that exact mode once refused
+        d = uniform(20001)
+        r = gap_report(d, 10, VarianceMethod.EXACT)
+        assert r.true_variance == exact_variance(d, 10).value
+        assert r.gap_iid >= 0.0
 
     def test_scaled_iid_gap_persists(self):
         for n in (100, 1000):

@@ -73,11 +73,10 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_re_exported_size_names():
-    from missingmass import dist, sizes, variance
+    from missingmass import dist, sizes
 
     assert dist.INFINITE is sizes.INFINITE
     assert dist.AlphabetBound is sizes.AlphabetBound
-    assert variance.AlphabetTooLargeError is sizes.AlphabetTooLargeError
 
 
 def _results():
@@ -105,3 +104,35 @@ def test_result_objects_are_slotted_records(index):
     assert tuple(dataclasses.asdict(result)) == fields
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(result, first, None)
+
+
+def _sample_size_entry_points():
+    d = missingmass.from_probs([0.5, 0.3, 0.2])
+    return {
+        "exact_variance": lambda n: missingmass.exact_variance(d, n),
+        "approx_variance_thm1": lambda n: missingmass.approx_variance_thm1(d, n),
+        "poissonized_variance": lambda n: missingmass.poissonized_variance(d, n),
+        "expected_missing_mass": lambda n: missingmass.expected_missing_mass(d, n),
+        "subgamma_v": lambda n: missingmass.subgamma_v(d, n),
+        "iid_majorization_v": lambda n: missingmass.iid_majorization_v(d, n),
+        "gap_report-exact": lambda n: missingmass.gap_report(d, n),
+        "gap_report-poissonized": lambda n: missingmass.gap_report(d, n, missingmass.VarianceMethod.POISSONIZED),
+        "max_subgamma_uniform_dirac": lambda n: missingmass.max_subgamma_uniform_dirac(n),
+        "sample_missing_mass": lambda n: missingmass.sample_missing_mass(d, n, 0),
+        "estimate_variance": lambda n: missingmass.estimate_variance(d, n, 10, 0),
+        "worst_case_distribution": lambda n: missingmass.worst_case_distribution(n),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_sample_size_entry_points()))
+def test_sample_size_must_be_an_integer(name):
+    # A float n, even an integral one, is a ValueError at every entry point;
+    # a numpy integer passes as a Python int, so not even uint8 overflows
+    # inside simulate or the sub-gamma scan.
+    np = pytest.importorskip("numpy")
+    call = _sample_size_entry_points()[name]
+    for n in (2.5, 1000.0, np.float64(10.0)):
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            call(n)
+    for n in (np.int64(200), np.uint8(200)):
+        assert call(n) == call(200)

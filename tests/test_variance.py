@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from missingmass import (
-    EXACT_ALPHABET_LIMIT,
-    AlphabetTooLargeError,
     VarianceMethod,
     approx_variance_thm1,
     exact_variance,
@@ -21,7 +19,7 @@ from missingmass import (
 )
 from missingmass import variance
 from missingmass.dist import _SUM_WIDTH
-from missingmass.variance import _pair_series
+from missingmass.variance import _pair_series, _suffix_sums
 from oracles import (
     enumeration_moments,
     fsum_reference,
@@ -102,17 +100,25 @@ class TestExactVariance:
     def test_range(self, m, n):
         assert 0.0 <= exact_variance(uniform(m), n).value <= 0.25
 
-    def test_alphabet_cap(self):
-        d = uniform(20001)
-        with pytest.raises(AlphabetTooLargeError):
-            exact_variance(d, 10)
+    @pytest.mark.parametrize(
+        "build, n",
+        [(lambda: uniform(10**5), 10**5), (lambda: worst_case_distribution(10**6).to_distribution(), 10**6)],
+        ids=["uniform-1e5", "worst-case-1e6"],
+    )
+    def test_above_the_old_cap_matches_mpmath(self, build, n):
+        # past the 20000 atoms exact mode once refused; the worst case at
+        # n = 1e6 has 441 929 atoms
+        pytest.importorskip("mpmath")
+        d = build()
+        masses, counts = np.unique(d.probs, return_counts=True)
+        want = profile_variance_mpmath(masses.tolist(), counts.tolist(), n)
+        assert abs(exact_variance(d, n).value - want) <= 1e-12 * _cancel_scale(d, n)
 
     def test_memory_is_linear_in_alphabet(self):
-        # At the cap, Zipf with n = 1e4 has 19 rows with direct terms, and
-        # Dirichlet(0.1) with n = 1e6 has about 3.3e5 direct terms (66 x 8m
-        # bytes as Python floats); buffers of at most m terms need only a few
-        # m-length temporaries.
-        m = EXACT_ALPHABET_LIMIT
+        # At m = 1e5, Zipf with n = 1e4 has 16 rows with direct terms (820
+        # terms) and Dirichlet(0.1) with n = 1e6 has 21 (830 terms), none of
+        # them kept; the traced peak is about 11 x 8m bytes on both.
+        m = 10**5
         for probs, n in ((_zipf(m), 10**4), (_dirichlet(m), 10**6)):
             d = from_probs(probs, normalize=True)
             tracemalloc.start()
@@ -220,10 +226,10 @@ class TestExactAgainstPairwise:
         assert n * want == pytest.approx(scaled, abs=1e-7)
 
 
-def _buffer_sizes(monkeypatch, budget: int | None = None) -> list[int]:
-    """Make exact_variance pack its direct terms into buffers of ``budget``
-    terms, or of its own size when None; the returned list fills with the
-    size of each buffer summed, so it adds up to the direct terms built."""
+def _buffer_sizes(monkeypatch) -> list[int]:
+    """Make exact_variance record the size of each compensated sum its direct
+    sum makes; the returned list fills as it runs and adds up to the direct
+    terms built."""
     sizes = []
     direct_sum, compensated_sum = variance._direct_sum, variance._compensated_sum
 
@@ -231,12 +237,12 @@ def _buffer_sizes(monkeypatch, budget: int | None = None) -> list[int]:
         sizes.append(x.size)
         return compensated_sum(x)
 
-    def packed(p, q, rows, cut, n, own_budget):
+    def recorded(*args):
         with monkeypatch.context() as mp:
             mp.setattr(variance, "_compensated_sum", buffer_sum)
-            return direct_sum(p, q, rows, cut, n, own_budget if budget is None else budget)
+            return direct_sum(*args)
 
-    monkeypatch.setattr(variance, "_direct_sum", packed)
+    monkeypatch.setattr(variance, "_direct_sum", recorded)
     return sizes
 
 
@@ -275,58 +281,41 @@ _ONE_HEAVY_ROW = np.r_[0.1, np.full(40, 0.9 / 40)]
 
 
 class TestDirectBuffers:
-    """exact_variance's direct terms, packed row after row into flat buffers
-    of at most max(m, 2^14) terms, against the all-pairs identity within
-    1e-12 of E[M0]^2 + sum p^2 q. Only the rows that can reach the result's
-    rounding reach a buffer."""
+    """exact_variance's kept direct terms, numbered row after row into one
+    buffer and reduced by one compensated sum, against the all-pairs identity
+    within 1e-12 of E[M0]^2 + sum p^2 q. Only the rows that can reach the
+    result's rounding reach the buffer."""
 
     @pytest.mark.parametrize(
-        "probs, n, budget",
+        "probs, n",
         [
-            (_near_uniform(150), 5775, 1000),  # 9136 terms in 105 kept rows (2 left out): 10 buffers
-            (_near_uniform(20), 100, 7),  # 189 terms in rows of 2 to 19: 27 buffers, rows cut across them
-            (_ONE_HEAVY_ROW, 100, 7),  # the row of 40 terms spans 6 buffers
-            (_ONE_HEAVY_ROW, 100, 40),  # exactly one budget
-            (_ONE_HEAVY_ROW, 100, 39),  # one term past it
+            (_near_uniform(150), 5775),  # 9136 terms in 105 kept rows (2 left out)
+            (_near_uniform(20), 100),  # 189 terms in rows of 2 to 19
+            (_ONE_HEAVY_ROW, 100),  # one row of 40 terms
         ],
     )
-    def test_buffers_match_pairwise(self, monkeypatch, probs, n, budget):
+    def test_buffers_match_pairwise(self, monkeypatch, probs, n):
         d = from_probs(probs, normalize=True)
-        sizes = _buffer_sizes(monkeypatch, budget)
+        sizes = _buffer_sizes(monkeypatch)
         _assert_matches_pairwise(d, n)
-        total = sum(sizes)
-        assert total == _direct_pairs(d.probs, n)
-        assert sizes == [budget] * (total // budget) + ([total % budget] if total % budget else [])
-
-    @staticmethod
-    def _sum_calls(monkeypatch, budget: int) -> tuple[int, list[int]]:
-        """(Python-level sums, buffer sizes) of exact_variance on 150 near-uniform
-        atoms at n = 5775, with buffers of max(m, ``budget``) terms."""
-        d = from_probs(_near_uniform(150), normalize=True)
-        sizes, fsums = [], []
-        compensated_sum, fsum = variance._compensated_sum, math.fsum
-        monkeypatch.setattr(variance, "_DIRECT_BUFFER", budget)
-        monkeypatch.setattr(variance, "_compensated_sum", lambda x: sizes.append(x.size) or compensated_sum(x))
-        monkeypatch.setattr(math, "fsum", lambda x: fsums.append(1) or fsum(x))
-        exact_variance(d, 5775)
-        monkeypatch.undo()
-        assert len(_direct_partners(d.probs, 5775)) > 100 and sum(sizes) == _direct_pairs(d.probs, 5775)
-        return len(sizes) + len(fsums), sizes
+        assert sizes == [_direct_pairs(d.probs, n)]
 
     def test_calls_grow_with_buffers_not_rows(self, monkeypatch):
         # Python-level sums per exact_variance: a few fixed ones plus one
-        # compensated sum per buffer. Here the diagonal (150 terms, through
-        # dist's own compensated sum) adds one math.fsum, the direct and the
-        # series' sums one each, and the 105 kept rows share one buffer of
-        # 9136 terms, longer than a 2048-term row, which adds no math.fsum.
-        calls, sizes = self._sum_calls(monkeypatch, 2**14)
-        assert len(sizes) == 1 and calls <= 4
-
-    def test_calls_grow_with_smaller_buffers(self, monkeypatch):
-        # 10 buffers shorter than one row: each adds at most two math.fsum
-        # calls over the 128 partials its fold leaves.
-        calls, sizes = self._sum_calls(monkeypatch, 1000)
-        assert len(sizes) == 10 and calls <= 3 + 3 * 10
+        # compensated sum for all the direct terms. Here the diagonal (150
+        # terms, through dist's own compensated sum) adds one math.fsum, the
+        # direct and the series' sums one each, and the 105 kept rows share one
+        # buffer of 9136 terms, longer than a 2048-term row, which adds no
+        # math.fsum.
+        d, n = from_probs(_near_uniform(150), normalize=True), 5775
+        sizes, fsums = [], []
+        compensated_sum, fsum = variance._compensated_sum, math.fsum
+        monkeypatch.setattr(variance, "_compensated_sum", lambda x: sizes.append(x.size) or compensated_sum(x))
+        monkeypatch.setattr(math, "fsum", lambda x: fsums.append(1) or fsum(x))
+        exact_variance(d, n)
+        monkeypatch.undo()
+        assert len(_direct_partners(d.probs, n)) > 100 and sizes == [_direct_pairs(d.probs, n)]
+        assert len(sizes) + len(fsums) <= 4
 
 
 class TestDirectRowSkip:
@@ -346,6 +335,19 @@ class TestDirectRowSkip:
         exact_variance(d, n)
         assert sum(sizes) == kept == _direct_pairs(d.probs, n)
         assert _direct_pairs(d.probs, n, kept=False) == built_before
+
+    def test_largest_kept_input_found(self, monkeypatch):
+        # The most direct terms kept in a search over about 30 000 inputs
+        # (equal and near-equal blocks, block mixtures, power laws; m from 2
+        # to 20000, n from 1 to 1e8): n > m^2/4 puts every pair in a direct
+        # row, while q = e^(-n/m) is still far above eps.
+        d, n = from_probs(1.0 + 0.01 * np.random.default_rng(0).random(160), normalize=True), 6442
+        rows, direct_rows = [], variance._direct_rows
+        monkeypatch.setattr(variance, "_direct_rows", lambda *args: rows.append(direct_rows(*args)) or rows[-1])
+        sizes = _buffer_sizes(monkeypatch)
+        _assert_matches_pairwise(d, n)
+        assert rows[0].size == 131
+        assert sizes == [12314] == [_direct_pairs(d.probs, n)]
 
     def test_all_rows_left_out_matches_mpmath(self):
         pytest.importorskip("mpmath")
@@ -428,7 +430,7 @@ class TestPairSeries:
         a = 1e-2 * rng.random(t.size)
         cut = _pair_cut(t)
         pairs = [(i, j) for i in range(t.size) for j in range(cut[i], t.size)]
-        value, terms, bound = _pair_series(a, t, cut, n)
+        value, terms, bound = _pair_series(a, t, cut, n, _suffix_sums(a))
         assert terms < n
         assert bound <= 2.0**-53 * math.fsum(a[i] * a[j] for i, j in pairs)  # the stopping rule
         with mpmath.workdps(40):
@@ -448,7 +450,7 @@ class TestPairSeries:
         cut = _pair_cut(t)
         assert cut.tolist() == [2, 2, 3]
         n = 5
-        value, terms, bound = _pair_series(a, t, cut, n)
+        value, terms, bound = _pair_series(a, t, cut, n, _suffix_sums(a))
         assert (terms, bound) == (n, 0.0)
         want = sum(a[i] * a[j] * ((1 - t[i] * t[j] / n) ** n - 1) for i in range(3) for j in range(cut[i], 3))
         assert value == pytest.approx(want, rel=1e-14)

@@ -20,8 +20,8 @@ DIRAC_OMIT_THRESHOLD = 1e-12
 INFINITE = math.inf
 
 
-def _require_sample_size(n: int) -> int:
-    """The sample size n as a Python int, or ValueError: n must be an integer from 1 to the largest float.
+def _require_int(value: int, name: str, least: int) -> int:
+    """``value`` as a Python int, or ValueError: ``name`` must be an integer >= ``least``.
 
     Any integer type passes, numpy's included (``operator.index``), and
     comes back as a Python int, so that no fixed-width integer overflows
@@ -29,11 +29,17 @@ def _require_sample_size(n: int) -> int:
     such as 1000.0.
     """
     try:
-        n = operator.index(n)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"sample size must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _require_sample_size(n: int) -> int:
+    """The sample size n as a Python int, or ValueError: n must be an integer from 1 to the largest float."""
+    n = _require_int(n, "sample size", 1)
     if n > sys.float_info.max:  # compared exactly; float(n) would overflow
         raise ValueError(f"sample size must be at most {sys.float_info.max:g}, the largest float")
     return n

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution, _weighted_sum
-from .sizes import _require_sample_size
+from .sizes import _require_int, _require_sample_size
 from .variance import (
     VarianceMethod,
     _atoms,
@@ -122,9 +122,7 @@ def max_subgamma_uniform_dirac(n: int, max_atoms: int | None = None) -> Subgamma
     maximum is a property of the searched range, not a universal constant.
     """
     n = _require_sample_size(n)
-    k = int(50 * n if max_atoms is None else max_atoms)
-    if k < 1:
-        raise ValueError(f"max_atoms must be at least 1, got {max_atoms!r}")
+    k = 50 * n if max_atoms is None else _require_int(max_atoms, "max_atoms", 1)
     ws = np.linspace(0.0, 1.0, 201)
     p = ws / k
     d = 1.0 - ws

@@ -9,13 +9,16 @@ This module is also the one home of the library's compensated atom sum,
 From one 2048-term row up it runs a vectorised TwoSum fold, and the
 result is within one rounding of the exact sum plus a term of order
 eps^2 sum|x|. Below one row it returns the correctly rounded sum, what
-``math.fsum`` over the terms returns. Plain fsum gives it where that is
-cheaper: on terms that span few binades, and on fewer than 768 terms.
-Elsewhere the same fold runs down to 64 lanes, and ``math.fsum`` over
-their 128 sums and errors gives a value r and its residual d. A
-certificate, r + d +- gamma_2h^2 sum|x| inside the interval that rounds
-to r for h halvings, proves r is the correctly rounded sum. Where it
-cannot, fsum runs over the terms.
+``math.fsum`` over the terms returns, and size alone picks the path.
+Fewer than 768 terms get plain fsum. From 768 to 2047 terms the same
+fold runs down to 64 lanes, and ``math.fsum`` over their 128 sums and
+errors gives a value r and its residual d. A certificate,
+r + d +- gamma_2h^2 sum|x| inside the interval that rounds to r for h
+halvings, proves r is the correctly rounded sum. Where it cannot, fsum
+runs over the terms. On the ``perfbench`` inputs, seeds 1-10, 230 of
+the 790 short sums had 768 or more terms, and a cost model that
+estimated fsum's cost from the terms' span folded all 230: size alone
+routes them the same way.
 
 A distribution whose masses come in long runs of equal consecutive atoms,
 like ``uniform(m)`` and the worst case (equal atoms and one point mass),
@@ -38,7 +41,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound  # the last two only re-exported
+from .sizes import DIRAC_OMIT_THRESHOLD, _require_int
+from .sizes import INFINITE, AlphabetBound  # only re-exported
 
 #: Absolute tolerance on |sum(probs) - 1|. Loose enough to absorb rounding
 #: accumulated over ~1e6 atoms, tight enough to catch construction bugs.
@@ -53,20 +57,14 @@ _SUM_WIDTH = 2048
 #: fast, while each further halving would cost more than it saves there.
 _SHORT_LANES = 64
 
-#: Inputs shorter than this always get plain ``math.fsum``, without the span
-#: check below: on close terms of fewer than about 700, that check costs
-#: more than reading them through a memoryview, not a list, saves.
+#: Inputs shorter than this get plain ``math.fsum``, which reads them
+#: through a memoryview; longer ones, up to one row, get the fold and its
+#: certificate. Timed per call on a 2-core Xeon, the fold costs 35-50 us
+#: from 768 to 2047 terms whatever they span, and breaks even with fsum
+#: at about 2000 terms within a few binades and below 512 terms over 1000
+#: binades; from 768 terms up it costs close terms at most about 15 us
+#: more than fsum, and saves 60-250 us on terms over 1000 binades.
 _SHORT_FOLD_MIN = 768
-
-#: ``math.fsum`` walks its whole list of partials for every term, and the
-#: list grows with the binades the terms span below their total: measured
-#: on 512-2047 terms, its cost per term doubles at a span of about this
-#: many binades.
-_FSUM_SPAN_DOUBLING = 100.0
-
-#: The fold, its certificate included, costs about as much as ``math.fsum``
-#: over this many terms of one binade.
-_FOLD_COST_TERMS = 3000
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -118,45 +116,37 @@ def _fold(s: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.ndarray, w: np.ndar
 def _short_sum(x: np.ndarray) -> float:
     """Sum of fewer than _SUM_WIDTH terms, correctly rounded: equal to ``math.fsum`` over them.
 
-    Plain fsum costs about n (1 + span / _FSUM_SPAN_DOUBLING) term steps,
-    with span = log2(sum|x| / min nonzero |x|) in binades; the fold about
-    _FOLD_COST_TERMS. The fold runs only where fsum would cost more, on at
-    least _SHORT_FOLD_MIN terms with sum|x| finite and below 2^1023. The
-    terms are then zero-padded to a power of two and folded by
-    :func:`_fold` down to _SHORT_LANES lanes in h halvings. The lanes' sums
-    and errors are the partials; r = fsum(partials) and
-    d = fsum(partials + [-r]), so r + d is their exact total. The TwoSums
-    are exact, their rounding errors add up to at most gamma_h sum|x|, and
-    each error reaches the lanes through at most 2h roundings, so the exact
-    sum lies within gamma_2h^2 sum|x| of r + d. When that whole interval,
-    with a margin, lies within half the spacing to the floats next to r, on
-    each side, the exact sum rounds to r, which is what fsum returns.
-    Otherwise the result is ``math.fsum`` over the terms, or NaN where fsum
-    raises. The 2^1023 cap keeps the fold and fsum's running sums from
-    overflowing; inf and NaN terms fail it.
+    Size alone picks the path. Fewer than _SHORT_FOLD_MIN terms get plain
+    fsum. Longer ones, with sum|x| finite and below 2^1023, are zero-padded
+    to a power of two and folded by :func:`_fold` down to _SHORT_LANES
+    lanes in h halvings. The lanes' sums and errors are the partials;
+    r = fsum(partials) and d = fsum(partials + [-r]), so r + d is their
+    exact total. The TwoSums are exact, their rounding errors add up to at
+    most gamma_h sum|x|, and each error reaches the lanes through at most
+    2h roundings, so the exact sum lies within gamma_2h^2 sum|x| of r + d.
+    When that whole interval, with a margin, lies within half the spacing
+    to the floats next to r, on each side, the exact sum rounds to r,
+    which is what fsum returns. Otherwise the result is ``math.fsum`` over
+    the terms, or NaN where fsum raises. The 2^1023 cap keeps the fold and
+    fsum's running sums from overflowing; inf and NaN terms fail it.
     """
     if x.size >= _SHORT_FOLD_MIN:
-        a = np.abs(x)
-        scale = float(np.add.reduce(a))
+        scale = float(np.add.reduce(np.abs(x)))
         if 0.0 < scale < 2.0**1023:
-            low = float(np.minimum.reduce(a))
-            if low == 0.0:  # zeros cost fsum no partial; the masked minimum is dearer, so only here
-                low = float(np.minimum.reduce(a, where=a > 0.0, initial=scale))
-            if x.size * (1.0 + math.log2(scale / low) / _FSUM_SPAN_DOUBLING) >= _FOLD_COST_TERMS:
-                lanes = 1 << (x.size - 1).bit_length()  # the next power of two
-                s, e, t, z, w = np.zeros((5, lanes))
-                s[: x.size] = x
-                s = _fold(s, e, t, z, w, _SHORT_LANES)
-                partials = s[:_SHORT_LANES].tolist() + e[:_SHORT_LANES].tolist()
-                r = math.fsum(partials)
-                partials.append(-r)
-                d = math.fsum(partials)
-                depth = 2 * ((lanes // _SHORT_LANES).bit_length() - 1)  # 2h
-                gamma = depth * _UNIT_ROUNDOFF / (1.0 - depth * _UNIT_ROUNDOFF)
-                # the factor 2 and the 2^-20 |d| cover the roundings of sum|x|, of d and of these lines
-                err = 2.0 * gamma * gamma * scale + abs(d) * 2.0**-20
-                if 2.0 * (d + err) < math.nextafter(r, math.inf) - r and 2.0 * (err - d) < r - math.nextafter(r, -math.inf):
-                    return r
+            lanes = 1 << (x.size - 1).bit_length()  # the next power of two
+            s, e, t, z, w = np.zeros((5, lanes))
+            s[: x.size] = x
+            s = _fold(s, e, t, z, w, _SHORT_LANES)
+            partials = s[:_SHORT_LANES].tolist() + e[:_SHORT_LANES].tolist()
+            r = math.fsum(partials)
+            partials.append(-r)
+            d = math.fsum(partials)
+            depth = 2 * ((lanes // _SHORT_LANES).bit_length() - 1)  # 2h
+            gamma = depth * _UNIT_ROUNDOFF / (1.0 - depth * _UNIT_ROUNDOFF)
+            # the factor 2 and the 2^-20 |d| cover the roundings of sum|x|, of d and of these lines
+            err = 2.0 * gamma * gamma * scale + abs(d) * 2.0**-20
+            if 2.0 * (d + err) < math.nextafter(r, math.inf) - r and 2.0 * (err - d) < r - math.nextafter(r, -math.inf):
+                return r
     try:
         return math.fsum(memoryview(x))  # the same floats as x.tolist(), without building the list
     except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
@@ -179,8 +169,8 @@ def _compensated_sum(x: np.ndarray) -> float:
     rounding of the exact sum plus gamma_{rows+23}^2 * sum|x|,
     gamma_k = k eps / (1 - k eps); the tests hold it to one ulp plus
     rows * eps^2 * sum|x|. With no full row the result is the correctly
-    rounded sum, equal to ``math.fsum`` over the entries: plain fsum where
-    that is cheaper, otherwise the same fold down to 64 lanes and a
+    rounded sum, equal to ``math.fsum`` over the entries: plain fsum on
+    fewer than 768 entries, otherwise the same fold down to 64 lanes and a
     certificate that their fsum is correctly rounded (see
     :func:`_short_sum`). Memory is
     O(_SUM_WIDTH) beyond the input, and the cost past the column pass is
@@ -343,26 +333,29 @@ def from_probs(values: Iterable[float], normalize: bool = False) -> DiscreteDist
 
 
 def uniform(m: int) -> DiscreteDistribution:
-    """Uniform distribution on ``m`` atoms."""
+    """Uniform distribution on ``m`` atoms; a non-integer ``m`` is a ValueError."""
     if m < 1:
         raise EmptyDistributionError(f"need at least one atom, got m={m}")
-    return DiscreteDistribution(np.full(int(m), 1.0 / m))
+    m = _require_int(m, "m", 1)
+    return DiscreteDistribution(np.full(m, 1.0 / m))
 
 
 def uniform_dirac(atom_count: int, atom_mass: float, dirac_mass: float) -> DiscreteDistribution:
     """``atom_count`` equal atoms followed by one point mass.
 
     The point mass is omitted when it falls below
-    :data:`DIRAC_OMIT_THRESHOLD`.
+    :data:`DIRAC_OMIT_THRESHOLD`. A non-integer ``atom_count`` is a
+    ValueError.
     """
     if atom_count < 1:
         raise EmptyDistributionError(f"need at least one uniform atom, got {atom_count}")
+    atom_count = _require_int(atom_count, "atom_count", 1)
     if atom_mass < 0.0 or dirac_mass < 0.0:
         raise NegativeMassError(f"masses must be nonnegative, got {atom_mass!r}, {dirac_mass!r}")
     total = atom_count * atom_mass + dirac_mass
     if not abs(total - 1.0) <= NORMALIZATION_ATOL:
         raise NotNormalizedError(f"atom_count*atom_mass + dirac_mass = {total!r}, not 1")
-    masses = np.full(int(atom_count), atom_mass)
+    masses = np.full(atom_count, atom_mass)
     if dirac_mass >= DIRAC_OMIT_THRESHOLD:
         masses = np.append(masses, dirac_mass)
     return DiscreteDistribution(masses)

@@ -154,31 +154,8 @@ def _trial_block(
     return unseen.sum(axis=1)
 
 
-def sample_missing_mass(dist: DiscreteDistribution, n: int, seed: int) -> float:
-    """Total mass of the symbols unseen in one n-draw sample: trial 0 of
-    ``estimate_variance`` with the same seed."""
-    n = _require_sample_size(n)
-    probs = dist.probs
-    cdf = np.cumsum(probs)
-    table = _guide_table(cdf, _table_bits(probs.size, n))
-    return float(_trial_block(probs, cdf, table, n, _master_key(seed), 0, 1)[0])
-
-
-def estimate_variance(
-    dist: DiscreteDistribution,
-    n: int,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> SimulationEstimate:
-    """Unbiased empirical variance of M0 over ``trials`` replications.
-
-    ``workers`` caps the threads that run trial blocks; the output is a
-    pure function of (dist, n, trials, seed) for every worker count.
-    """
-    n = _require_sample_size(n)
-    trials = _require_int(trials, "trials", 2)
-    workers = _require_int(workers, "workers", 1)
+def _missing_masses(dist: DiscreteDistribution, n: int, trials: int, seed: int, workers: int) -> np.ndarray:
+    """Missing mass of trials 0 to ``trials`` - 1, for checked arguments."""
     probs = dist.probs
     cdf = np.cumsum(probs)
     table = _guide_table(cdf, _table_bits(probs.size, trials * n))
@@ -199,6 +176,35 @@ def estimate_variance(
     else:
         for block in blocks:
             fill(block)
+    return values
+
+
+def sample_missing_mass(dist: DiscreteDistribution, n: int, seed: int) -> float:
+    """Total mass of the symbols unseen in one n-draw sample: trial 0 of
+    ``estimate_variance`` with the same seed."""
+    n = _require_sample_size(n)
+    seed = _require_int(seed, "seed", 0)
+    return float(_missing_masses(dist, n, 1, seed, 1)[0])
+
+
+def estimate_variance(
+    dist: DiscreteDistribution,
+    n: int,
+    trials: int,
+    seed: int,
+    workers: int = 1,
+) -> SimulationEstimate:
+    """Unbiased empirical variance of M0 over ``trials`` replications.
+
+    ``workers`` caps the threads that run trial blocks; the output is a
+    pure function of (dist, n, trials, seed) for every worker count.
+    ``seed`` must be an integer >= 0.
+    """
+    n = _require_sample_size(n)
+    trials = _require_int(trials, "trials", 2)
+    seed = _require_int(seed, "seed", 0)
+    workers = _require_int(workers, "workers", 1)
+    values = _missing_masses(dist, n, trials, seed, workers)
 
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))

@@ -279,6 +279,13 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and "workers" in err
 
+    def test_negative_seed_exits_2(self, capsys, dist_file):
+        code, out, err = run(
+            capsys, "simulate", "--dist", dist_file("0.5\n0.5\n"), "--n", "2", "--trials", "10", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == "" and "seed must be >= 0" in err
+
     def test_statistical_value(self, capsys, dist_file):
         path = dist_file("0.5\n0.5\n")
         code, out, _ = run(capsys, "simulate", "--dist", path, "--n", "2", "--trials", "100000", "--seed", "5")

@@ -119,7 +119,7 @@ class TestSubgammaSearch:
             value, _, w = subgamma_family_scan(n, 50 * n if max_atoms is None else max_atoms)
             assert (best.scaled_value, best.uniform_mass) == (value, w)
 
-    @pytest.mark.parametrize("max_atoms", [0, -5, 0.5])
+    @pytest.mark.parametrize("max_atoms", [0, -5, 0.5, 2.5, 3.0])
     def test_rejects_empty_block(self, max_atoms):
         with pytest.raises(ValueError, match="max_atoms"):
             max_subgamma_uniform_dirac(10, max_atoms)

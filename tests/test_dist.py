@@ -127,6 +127,14 @@ class TestUniform:
         with pytest.raises(EmptyDistributionError):
             uniform(0)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0])
+    def test_count_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            uniform(m)
+
+    def test_numpy_integer_count_passes(self):
+        assert uniform(np.int64(4)).probs.tolist() == [0.25] * 4
+
 
 class TestUniformDirac:
     def test_direct(self):
@@ -156,6 +164,15 @@ class TestUniformDirac:
     def test_nan_mass(self):
         with pytest.raises(NotNormalizedError):
             uniform_dirac(2, np.nan, 0.0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="atom_count must be an integer"):
+            uniform_dirac(count, 0.9 / count, 0.1)  # count * atom_mass + dirac_mass is 1
+
+    def test_empty(self):
+        with pytest.raises(EmptyDistributionError):
+            uniform_dirac(0, 0.5, 1.0)
 
 
 class TestValidation:
@@ -359,16 +376,26 @@ class TestCompensatedSum:
         gap_report(d, 100000, VarianceMethod.EXACT)
         assert sizes and max(sizes) <= 129
 
-    @pytest.mark.parametrize("size", [65, 767, 768, 1024, 1500, W - 1])
-    def test_close_terms_take_plain_fsum(self, monkeypatch, size):
-        # Terms within a few binades of each other: fsum over them is cheaper
-        # than the fold at every size below a row, so it runs once, over all
-        # of them, and nothing is folded.
+    # Size alone routes a short sum. Close terms, where fsum is cheapest,
+    # show it: below 768 terms fsum runs once, over all of them; from 768
+    # up the fold runs and its certificate holds, so fsum sees only the 128
+    # lane partials, then those and -r.
+
+    @staticmethod
+    def _close_terms_fsum_calls(monkeypatch, size):
         x = np.random.default_rng(size).uniform(1.0, 3.0, size)
         want = fsum_reference(x)
         sizes = _record_fsum(monkeypatch)
         assert _compensated_sum(x) == want
-        assert sizes == [size]
+        return sizes
+
+    @pytest.mark.parametrize("size", [65, 767])
+    def test_close_terms_take_plain_fsum(self, monkeypatch, size):
+        assert self._close_terms_fsum_calls(monkeypatch, size) == [size]
+
+    @pytest.mark.parametrize("size", [768, 1024, 1500, W - 1])
+    def test_close_terms_are_folded_from_768(self, monkeypatch, size):
+        assert self._close_terms_fsum_calls(monkeypatch, size) == [2 * 64, 2 * 64 + 1]
 
     @pytest.mark.parametrize("gap", [5, 7])
     def test_certificate_uses_each_sides_spacing(self, monkeypatch, gap):

@@ -136,6 +136,20 @@ class TestEstimateVariance:
         want = estimate_variance(uniform(3), 2, 10, seed=0, workers=2)
         assert estimate_variance(uniform(3), 2, np.int64(10), seed=0, workers=np.uint8(2)) == want
 
+    @pytest.mark.parametrize(
+        "seed, message", [(2.5, "must be an integer"), ("3", "must be an integer"), (-1, "must be >= 0")]
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"seed {message}"):
+            estimate_variance(uniform(2), 10, 10, seed=seed)
+        with pytest.raises(ValueError, match=f"seed {message}"):
+            sample_missing_mass(uniform(2), 10, seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        est = estimate_variance(uniform(3), 2, 10, seed=np.int64(3))
+        assert type(est.seed) is int and est == estimate_variance(uniform(3), 2, 10, seed=3)
+        assert sample_missing_mass(uniform(3), 2, np.uint8(3)) == sample_missing_mass(uniform(3), 2, 3)
+
     def test_two_fair_atoms_variance(self):
         est = estimate_variance(from_probs([0.5, 0.5]), 2, 100000, seed=2024)
         assert abs(est.variance - 0.0625) <= 3 * est.se_variance

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import struct
 import sys
 from typing import Iterable, Sequence
 
@@ -78,16 +79,32 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     return [i * step + lo for i in range(div)] + [hi]
 
 
+def _float_index(x: float) -> int:
+    """The position of a float >= 0 among the floats: consecutive floats get consecutive integers."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
 def _geomspace(lo: float, hi: float, num: int) -> list[float]:
-    """``num`` >= 2 floats from lo > 0 to hi in geometric progression, both ends exact.
+    """``num`` >= 2 strictly increasing floats from lo > 0 to hi in geometric progression, both ends exact.
 
     numpy's formula for ``np.geomspace``: 10 to the powers of an even grid
     from log10(lo) to log10(hi), with the ends pinned to lo and hi. It
     differs from numpy only where numpy's log10 or power rounds other than
-    the C library's (see the tests for the bound).
+    the C library's (see the tests for the bound), and where a power rounds
+    onto or past its neighbour or an end, which happens only when [lo, hi]
+    holds few floats per step: point i is then moved to the nearest float
+    above point i - 1 and at least num - 1 - i floats below hi. A range
+    that holds fewer than ``num`` floats has no such grid and is a
+    ValueError.
     """
-    exps = _linspace(math.log10(lo), math.log10(hi), num)
-    return [lo] + [10.0**x for x in exps[1:-1]] + [hi]
+    top = _float_index(hi)
+    if top - _float_index(lo) < num - 1:
+        raise ValueError(f"[{lo!r}, {hi!r}] holds fewer than {num} floats, so no {num}-step geometric grid")
+    grid = [lo]
+    for i, x in enumerate(_linspace(math.log10(lo), math.log10(hi), num)[1:-1], start=1):
+        cap = struct.unpack("<d", struct.pack("<q", top - (num - 1 - i)))[0]
+        grid.append(min(max(10.0**x, math.nextafter(grid[-1], math.inf)), cap))
+    return grid + [hi]
 
 
 def _parse_alphabet(raw: str) -> float:

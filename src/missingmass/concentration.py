@@ -16,8 +16,12 @@ gap_subgamma = -1.4e-4.
 
 Both factors are power sums: like those in ``variance``, they evaluate
 their terms once per run of equal consecutive masses where the
-distribution has a run profile (see ``dist``), and ``gap_report``
-computes n log1p(-p) and q = (1-p)^n once for both.
+distribution has a run profile (see ``dist``), and they share that
+module's kept sums (``variance._binomial_sums``): each of sum p q,
+sum p^2 q and sum p^2 q (1-q) is computed at most once per
+(instance, n), and a call that lacks some computes n log1p(-p) and
+q = (1-p)^n once for them, so a lone ``gap_report`` does so once for
+both factors.
 """
 
 from __future__ import annotations
@@ -26,17 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDistribution, _weighted_sum
+from .dist import DiscreteDistribution
 from .sizes import _require_int, _require_sample_size
-from .variance import (
-    VarianceMethod,
-    _atoms,
-    _diagonal_variance,
-    _log_one_minus,
-    _pow_one_minus,
-    exact_variance,
-    poissonized_variance,
-)
+from .variance import VarianceMethod, _binomial_sums, _pow_one_minus, exact_variance, poissonized_variance
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,16 +55,11 @@ class SubgammaSearchResult:
     uniform_mass: float
 
 
-def _subgamma(p: np.ndarray, w: np.ndarray | None, q: np.ndarray, n: int) -> float:
-    """sum w p^2 q + (1/n) sum w p q over masses p with counts w (None: one each)."""
-    return _weighted_sum(p * p * q, w) + _weighted_sum(p * q, w) / n
-
-
 def subgamma_v(dist: DiscreteDistribution, n: int) -> float:
     """Sub-gamma variance factor sum p^2 q + (1/n) sum p q, q = (1-p)^n."""
     n = _require_sample_size(n)
-    p, w = _atoms(dist)
-    return _subgamma(p, w, _pow_one_minus(p, n), n)
+    p2q, pq = _binomial_sums(dist, n, ("p^2 q", "p q"))
+    return p2q + pq / n
 
 
 def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
@@ -78,9 +69,7 @@ def iid_majorization_v(dist: DiscreteDistribution, n: int) -> float:
     pairwise part, so it upper-bounds the true variance.
     """
     n = _require_sample_size(n)
-    p, w = _atoms(dist)
-    log_q = _log_one_minus(p, n)
-    return _diagonal_variance(p, w, np.exp(log_q), log_q)
+    return _binomial_sums(dist, n, ("p^2 q (1-q)",))[0]
 
 
 def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = VarianceMethod.EXACT) -> GapReport:
@@ -92,11 +81,8 @@ def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = Varian
         true = poissonized_variance(dist, n).value
     else:
         raise ValueError(f"mode must be EXACT or POISSONIZED, got {mode}")
-    p, w = _atoms(dist)
-    log_q = _log_one_minus(p, n)
-    q = np.exp(log_q)  # one q for both factors
-    sub = _subgamma(p, w, q, n)
-    iid = _diagonal_variance(p, w, q, log_q)
+    p2q, pq, iid = _binomial_sums(dist, n, ("p^2 q", "p q", "p^2 q (1-q)"))  # one q for both factors
+    sub = p2q + pq / n
     return GapReport(
         n=n,
         mode=mode,

@@ -62,15 +62,20 @@ The series' suffix sums are plain running sums with the bound above, and
 its at most 12 terms go through one ``math.fsum``.
 
 The O(m) power sums (thm1, poissonized, ``expected_missing_mass`` and
-the diagonal that ``concentration`` shares) run over the distribution's
+the factors of ``concentration``) run over the distribution's
 run profile where it has one: each term is evaluated once per run of
 equal consecutive masses, and count x term is added exactly by
 ``dist._weighted_sum``, so ``uniform(m)`` and the worst case cost
 O(1), not O(m), beyond the run scan. Below one row of atoms the result
 is still ``math.fsum`` over the per-atom terms; above it the compensated
 sum's bound holds. The scan follows atom order, so a shuffled vector of
-repeated masses takes the per-atom path. ``exact_variance`` sorts the
-masses and does not use the profile.
+repeated masses takes the per-atom path. Each of the six sums, sum p q,
+p^2 q, p^3 q and p^2 q (1-q) with q = (1-p)^n, and sum p^2 e^{-np} and
+p^3 e^{-np}, is computed at most once per (instance, n): the instance
+keeps the last n's sums of each family (:func:`_binomial_sums` and
+``poissonized_variance``), and a call computes q or log p once for the
+sums it lacks. ``exact_variance`` sorts the masses, does not use the
+profile and keeps no sums.
 """
 
 from __future__ import annotations
@@ -164,14 +169,62 @@ def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int, s0: np.n
     return math.fsum(terms[1:]), k, (0.0 if k == n else remainder)
 
 
-def _diagonal_variance(p: np.ndarray, w: np.ndarray | None, q: np.ndarray, log_q: np.ndarray) -> float:
-    """sum w p^2 q (1 - q) with q = (1-p)^n = exp(log_q): Var[M0] with every covariance dropped.
+def _diagonal_terms(p: np.ndarray, q: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """p^2 q (1 - q) with q = (1-p)^n = exp(log_q): their sum is Var[M0] with every covariance dropped.
 
     1 - q is -expm1(log_q), which keeps full relative accuracy where n p
     is below eps and q - q^2 would round to 0; log_q = -inf at p == 1
     gives 1 - q = 1.
     """
-    return _weighted_sum(p * p * q * -np.expm1(log_q), w)
+    return p * p * q * -np.expm1(log_q)
+
+
+#: The binomial power sums an instance keeps, by name: each term from the
+#: masses p, q = (1-p)^n and log_q = n log1p(-p). The order of each
+#: product is the one the pinned outputs were computed in; another order
+#: can move a term by an ulp.
+_BINOMIAL_TERMS = {
+    "p q": lambda p, q, log_q: p * q,
+    "p^2 q": lambda p, q, log_q: p * p * q,
+    "p^3 q": lambda p, q, log_q: p * p * p * q,
+    "p^2 q (1-q)": _diagonal_terms,
+}
+
+
+def _memo(dist: DiscreteDistribution, family: str, n: int) -> dict[str, float]:
+    """The sums of one family that ``dist`` holds for sample size n: {name: sum}, empty at first.
+
+    The instance keeps, under the attribute ``family`` next to its cached
+    ``_runs``, (n, sums) for the last n asked. Another n replaces it with
+    a fresh dict. A dict belongs to one n and only ever gains entries, each
+    the same float whoever computes it, so threads that share the instance
+    read the values a serial run gives; a race can only cost a recomputation.
+    """
+    slot = dist.__dict__.get(family)
+    if slot is None or slot[0] != n:
+        slot = dist.__dict__[family] = (n, {})
+    return slot[1]
+
+
+def _binomial_sums(dist: DiscreteDistribution, n: int, names: tuple[str, ...]) -> list[float]:
+    """The named sums of :data:`_BINOMIAL_TERMS` at sample size n, each computed at most once per (dist, n).
+
+    A call that lacks some of them evaluates n log1p(-p) and q once and
+    then only the terms it lacks, each freed once summed: filling all four
+    at once would make a lone call pay for sums it never reads. n must have
+    passed ``_require_sample_size``.
+    """
+    sums = _memo(dist, "_binomial_sums", n)
+    missing = [name for name in names if name not in sums]
+    if missing:
+        p, w = _atoms(dist)
+        log_q = _log_one_minus(p, n)
+        q = np.exp(log_q)
+        if "p^2 q (1-q)" not in missing:
+            log_q = None  # freed now, so that the terms' temporaries can reuse its pages
+        for name in missing:
+            sums[name] = _weighted_sum(_BINOMIAL_TERMS[name](p, q, log_q), w)
+    return [sums[name] for name in names]
 
 
 def _direct_rows(a: np.ndarray, s0: np.ndarray, cut: np.ndarray, diag: float) -> np.ndarray:
@@ -238,7 +291,7 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
         t = math.sqrt(n) * (p / (1.0 - p))  # descending
         cut = np.searchsorted(-t, -_SERIES_X / t)  # first j with t_j <= _SERIES_X / t_i
     cut = np.maximum(cut, np.arange(1, m + 1))  # the series columns of row i start after i
-    diag = _diagonal_variance(p, None, q, log_q)
+    diag = _weighted_sum(_diagonal_terms(p, q, log_q), None)
     a = p * q
     s0 = _suffix_sums(a)
     direct = _direct_sum(p, q, _direct_rows(a, s0, cut, diag), cut, n)
@@ -264,10 +317,7 @@ def approx_variance_thm1(dist: DiscreteDistribution, n: int) -> VarianceEstimate
     informative and must stay visible to regression tests.
     """
     n = _require_sample_size(n)
-    p, w = _atoms(dist)
-    q = _pow_one_minus(p, n)
-    a = _weighted_sum(p * p * q, w)
-    b = _weighted_sum(p * p * p * q, w)
+    a, b = _binomial_sums(dist, n, ("p^2 q", "p^3 q"))
     return VarianceEstimate(value=-n * a * a + n * b, method=VarianceMethod.THM1, n=n)
 
 
@@ -279,19 +329,22 @@ def poissonized_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate
 
     Each summand p^k e^{-np} is evaluated as exp(k*log(p) - n*p), the
     log-domain form that neither overflows nor loses the small-p regime;
-    zero-mass atoms contribute exactly zero.
+    zero-mass atoms contribute exactly zero. Both sums are computed at most
+    once per (dist, n) (see :func:`_memo`).
     """
     n = _require_sample_size(n)
-    p, w = _atoms(dist)
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)  # p == 0 -> -inf -> exp -> 0
-    a = _weighted_sum(np.exp(2.0 * logp - n * p), w)
-    b = _weighted_sum(np.exp(3.0 * logp - n * p), w)
+    sums = _memo(dist, "_poisson_sums", n)
+    if len(sums) < 2:
+        p, w = _atoms(dist)
+        with np.errstate(divide="ignore"):
+            logp = np.log(p)  # p == 0 -> -inf -> exp -> 0
+        sums["p^2 e^{-np}"] = _weighted_sum(np.exp(2.0 * logp - n * p), w)
+        sums["p^3 e^{-np}"] = _weighted_sum(np.exp(3.0 * logp - n * p), w)
+    a, b = sums["p^2 e^{-np}"], sums["p^3 e^{-np}"]
     return VarianceEstimate(value=-n * a * a + n * b, method=VarianceMethod.POISSONIZED, n=n)
 
 
 def expected_missing_mass(dist: DiscreteDistribution, n: int) -> float:
     """E[M0] = sum_s p_s (1-p_s)^n."""
     n = _require_sample_size(n)
-    p, w = _atoms(dist)
-    return _weighted_sum(p * _pow_one_minus(p, n), w)
+    return _binomial_sums(dist, n, ("p q",))[0]

@@ -175,6 +175,17 @@ class TestSweepCommand:
         bs = [float(r.split(",")[0]) for r in out_path.read_text().strip().split("\n")[1:]]
         assert bs[1] == pytest.approx(0.2, abs=1e-12)
 
+    def test_geometric_range_without_room_for_the_steps_exits_2(self, capsys):
+        # [1, 1 + 2 eps] holds 3 floats: 3 steps fit, 4 cannot be strictly increasing
+        hi = repr(math.nextafter(math.nextafter(1.0, 2.0), 2.0))
+        code, out, _ = run(capsys, "sweep", "--b-min", "1", "--b-max", hi, "--steps", "3", "--spacing", "geometric")
+        assert code == 0
+        assert [float(r.split(",")[0]) for r in out.strip().split("\n")[1:]] == [1.0, 1.0 + 2.0**-52, float(hi)]
+        code, out, err = run(capsys, "sweep", "--b-min", "1", "--b-max", hi, "--steps", "4", "--spacing", "geometric")
+        assert code == 2
+        assert out == ""
+        assert "fewer than 4 floats" in err
+
     def test_zero_bmin_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--b-min", "0", "--b-max", "1", "--steps", "10")
         assert code == 2
@@ -456,14 +467,43 @@ class TestGrids:
         m = max(abs(math.log10(lo)), abs(math.log10(hi)), 1.0)
         return 1.0 + 18.0 * math.log(10.0) * m
 
+    @staticmethod
+    def floats_in(lo: float, hi: float) -> int:
+        """How many floats lie in [lo, hi], 0 < lo <= hi."""
+        return int(np.array([hi, lo]).view(np.int64) @ [1, -1]) + 1
+
     @pytest.mark.parametrize(
-        "lo, hi, num", [(0.01, 2.0, 200), (0.05, 0.9, 100), (1e-6, 1e3, 500), (1e-300, 1e300, 500)]
+        "lo, hi, num",
+        [
+            (0.01, 2.0, 200),
+            (0.05, 0.9, 100),
+            (1e-6, 1e3, 500),
+            (1e-300, 1e300, 500),
+            # found by the property below: numpy's middle point, 1e300, lies above hi
+            (9.999999999998038e299, 9.999999999999346e299, 3),
+        ],
     )
     def test_geometric_near_numpy_geomspace(self, lo, hi, num):
         got = _geomspace(lo, hi, num)
         assert got[0] == lo and got[-1] == hi
         assert len(got) == num
+        assert all(a < b for a, b in zip(got, got[1:]))
         assert _ulps(got, np.geomspace(lo, hi, num)).max() <= self.geometric_bound(lo, hi)
+
+    @pytest.mark.parametrize("size", [10, 11, 15])
+    def test_geometric_range_with_few_floats(self, size):
+        # a range of exactly `size` floats takes up to `size` steps, strictly increasing, and no more
+        lo = 0.3
+        hi = np.array([lo]).view(np.int64) + (size - 1)
+        hi = float(hi.view(np.float64)[0])
+        assert self.floats_in(lo, hi) == size
+        for num in (2, 10, size):
+            got = _geomspace(lo, hi, num)
+            assert got[0] == lo and got[-1] == hi and len(got) == num
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert _ulps(got, np.geomspace(lo, hi, num)).max() <= self.geometric_bound(lo, hi)
+        with pytest.raises(ValueError, match=f"fewer than {size + 1} floats"):
+            _geomspace(lo, hi, size + 1)
 
     def test_geometric_near_numpy_geomspace_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -472,8 +512,13 @@ class TestGrids:
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(lo=positive, hi=positive, num=st.integers(min_value=2, max_value=500))
+        @hypothesis.example(lo=9.999999999998038e299, hi=9.999999999999346e299, num=3)
         def check(lo, hi, num):
             hypothesis.assume(lo < hi)
+            if self.floats_in(lo, hi) < num:  # no strictly increasing grid fits
+                with pytest.raises(ValueError):
+                    _geomspace(lo, hi, num)
+                return
             got = _geomspace(lo, hi, num)
             assert got[0] == lo and got[-1] == hi
             assert all(a < b for a, b in zip(got, got[1:]))

@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -677,3 +681,189 @@ class TestOccupancyMapMaxima:
     def test_poisson_form(self, k, n):
         vals = self.GRID**k * np.exp(-n * self.GRID)
         assert abs(self.GRID[np.argmax(vals)] - k / n) <= 1e-5 + 1e-12
+
+
+#: The six power-sum entry points, in the order of the benchmark's full report.
+ENTRY_POINTS = {
+    "thm1": lambda d, n: approx_variance_thm1(d, n).value,
+    "poissonized": lambda d, n: poissonized_variance(d, n).value,
+    "expected": expected_missing_mass,
+    "subgamma": subgamma_v,
+    "iid": iid_majorization_v,
+    "gap": lambda d, n: gap_report(d, n, VarianceMethod.POISSONIZED),
+}
+
+KEPT_SUM_INPUTS = {
+    "zipf-1e5": lambda: _zipf(10**5),  # per-atom, above one row
+    "worst-case-1000": lambda: worst_case_distribution(1000).to_distribution().probs,  # a run profile
+    "dirichlet-1000": lambda: _dirichlet(1000),  # per-atom, below one row
+}
+
+
+def _fresh_values(probs: np.ndarray, n: int) -> dict[str, object]:
+    """Each entry point's value, each from its own new instance."""
+    return {name: fn(from_probs(probs), n) for name, fn in ENTRY_POINTS.items()}
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    """Count the calls of ``variance.<name>``; returns the one-entry counter."""
+    calls = [0]
+    inner = getattr(variance, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(variance, name, counted)
+    return calls
+
+
+class TestKeptPowerSums:
+    """The instance keeps each power sum of the last n, per family; a kept sum
+    must be the value a fresh instance computes, bit for bit."""
+
+    @pytest.fixture(params=sorted(KEPT_SUM_INPUTS))
+    def probs(self, request):
+        p = KEPT_SUM_INPUTS[request.param]()
+        d = from_probs(p)
+        assert (d._runs is None) == (request.param != "worst-case-1000")
+        assert (d.probs.size >= _SUM_WIDTH) == (request.param == "zipf-1e5")
+        return p
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_each_call_after_the_other_five_equals_a_lone_call(self, probs, order):
+        n = 1000
+        fresh = _fresh_values(probs, n)
+        names = list(ENTRY_POINTS) if order == "forward" else list(reversed(ENTRY_POINTS))
+        for name in names:
+            d = from_probs(probs)
+            for other in names:
+                if other != name:
+                    ENTRY_POINTS[other](d, n)
+            assert ENTRY_POINTS[name](d, n) == fresh[name], name
+
+    def test_another_n_in_between(self, probs):
+        n1, n2 = 1000, 10**5
+        want = {n: _fresh_values(probs, n) for n in (n1, n2)}
+        d = from_probs(probs)
+        for n in (n1, n2, n1):
+            for name, fn in ENTRY_POINTS.items():
+                assert fn(d, n) == want[n][name], (n, name)
+
+    def test_numpy_integer_hits_and_bad_n_still_raises(self, probs):
+        n = 1000
+        fresh = _fresh_values(probs, n)
+        d = from_probs(probs)
+        for name, fn in ENTRY_POINTS.items():
+            assert fn(d, n) == fresh[name]
+            assert fn(d, np.int64(n)) == fresh[name], name
+            for bad in (2.5, 0):
+                with pytest.raises(ValueError):
+                    fn(d, bad)
+            assert fn(d, n) == fresh[name], name
+
+    @pytest.mark.parametrize("clone", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_give_the_same_values(self, probs, clone):
+        n = 1000
+        fresh = {n: _fresh_values(probs, n), 10: _fresh_values(probs, 10)}
+        d = from_probs(probs)
+        for fn in ENTRY_POINTS.values():
+            fn(d, n)
+        twin = clone(d)
+        assert not twin.probs.flags.writeable
+        for m in (n, 10, n):
+            for name, fn in ENTRY_POINTS.items():
+                assert fn(twin, m) == fresh[m][name], (m, name)
+                assert fn(d, m) == fresh[m][name], (m, name)
+
+    def test_threads_sharing_an_instance_get_the_serial_values(self, probs):
+        # Four threads, more than the cores of a small box, two per n, switching
+        # as often as the interpreter allows: each keeps replacing the slot the
+        # others read, and every value must still be the serial one.
+        sizes = (1000, 10**5, 1000, 10**5)
+        want = {n: _fresh_values(probs, n) for n in set(sizes)}
+        d = from_probs(probs)
+        rounds = 3 if probs.size >= _SUM_WIDTH else 40
+        start = threading.Barrier(len(sizes))
+        got = [[] for _ in sizes]
+
+        def worker(k):
+            start.wait()
+            for _ in range(rounds):
+                got[k].append({name: fn(d, sizes[k]) for name, fn in ENTRY_POINTS.items()})
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(sizes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, n in enumerate(sizes):
+            assert got[k] == [want[n]] * rounds, n
+
+    def test_full_report_computes_each_sum_once(self, monkeypatch):
+        # thm1 computes sum p^2 q and p^3 q, poissonized its two sums,
+        # expected sum p q, iid the diagonal; subgamma and gap_report find
+        # theirs kept. Without the kept sums: 13 sums and 5 log passes.
+        d = from_probs(_zipf(10**5))
+        sums = _counting(monkeypatch, "_weighted_sum")
+        logs = _counting(monkeypatch, "_log_one_minus")
+        for fn in ENTRY_POINTS.values():
+            fn(d, 1000)
+        assert (sums[0], logs[0]) == (6, 3)
+
+    @pytest.mark.parametrize(
+        "name, want", [("thm1", (2, 1)), ("poissonized", (2, 0)), ("expected", (1, 1)), ("subgamma", (2, 1)), ("iid", (1, 1)), ("gap", (5, 1))]
+    )
+    def test_lone_call_does_the_work_it_always_did(self, monkeypatch, name, want):
+        d = from_probs(_zipf(10**5))
+        sums = _counting(monkeypatch, "_weighted_sum")
+        logs = _counting(monkeypatch, "_log_one_minus")
+        ENTRY_POINTS[name](d, 1000)
+        assert (sums[0], logs[0]) == want
+
+    def test_full_report_memory(self):
+        # The peak is the diagonal's: log_q, q and two 8m-byte temporaries,
+        # about 4.06 x 8m bytes as measured, as before the sums were kept.
+        # The kept sums may hold no array past the call that made it.
+        m = 2 * 10**5
+        d = from_probs(_zipf(m))
+        tracemalloc.start()
+        try:
+            for fn in ENTRY_POINTS.values():
+                fn(d, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 8 * m
+
+    #: float.hex of thm1, poissonized, expected, subgamma_v, iid_majorization_v
+    #: and gap_report(POISSONIZED)'s gap_subgamma and gap_iid, recorded before
+    #: the sums were kept, at every term's evaluation order then.
+    PINNED = {
+        ("zipf-1e5", 1000): (
+            "0x1.3d4a83682086ap-14", "0x1.3e45ab66b2bf7p-14", "0x1.142421fbc957bp-1", "0x1.460de3ded536ap-11",
+            "0x1.5a66324e7c18ep-15", "0x1.1e452e71fedebp-11", "-0x1.2225247ee9660p-15",
+        ),
+        ("zipf-1e5", 10**6): (
+            "0x1.1639c442aa751p-24", "0x1.163a07cc1286fp-24", "0x1.90e1401617b3ep-6", "0x1.047096bcb76c8p-24",
+            "0x1.e5887044a9d4ap-26", "-0x1.1c9710f5b1a70p-28", "-0x1.39afd775d0239p-25",
+        ),
+        ("worst-case-1000", 1000): (
+            "0x1.f369eda01a407p-12", "0x1.f48bf31be2540p-12", "0x1.a94946fdca692p-4", "0x1.6330721a8b56ep-12",
+            "0x1.b97afaa200b8bp-13", "-0x1.22b70202adfa4p-13", "-0x1.17ce75cae1f7ap-12",
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("name, n", sorted(PINNED))
+    def test_outputs_are_pinned(self, name, n):
+        d = from_probs(KEPT_SUM_INPUTS[name]())
+        values = [fn(d, n) for fn in ENTRY_POINTS.values()]
+        gap = values.pop()
+        values += [gap.gap_subgamma, gap.gap_iid]
+        assert tuple(v.hex() for v in values) == self.PINNED[name, n]

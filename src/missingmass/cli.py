@@ -84,6 +84,12 @@ def _float_index(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", x))[0]
 
 
+def _require_floats(lo: float, hi: float, num: int) -> None:
+    """Raise ValueError unless [lo, hi], 0 <= lo < hi, holds ``num`` or more floats, room for ``num`` grid points."""
+    if _float_index(hi) - _float_index(lo) < num - 1:
+        raise ValueError(f"[{lo!r}, {hi!r}] holds fewer than {num} floats, so no {num}-point grid")
+
+
 def _geomspace(lo: float, hi: float, num: int) -> list[float]:
     """``num`` >= 2 strictly increasing floats from lo > 0 to hi in geometric progression, both ends exact.
 
@@ -97,9 +103,8 @@ def _geomspace(lo: float, hi: float, num: int) -> list[float]:
     that holds fewer than ``num`` floats has no such grid and is a
     ValueError.
     """
+    _require_floats(lo, hi, num)
     top = _float_index(hi)
-    if top - _float_index(lo) < num - 1:
-        raise ValueError(f"[{lo!r}, {hi!r}] holds fewer than {num} floats, so no {num}-step geometric grid")
     grid = [lo]
     for i, x in enumerate(_linspace(math.log10(lo), math.log10(hi), num)[1:-1], start=1):
         cap = struct.unpack("<d", struct.pack("<q", top - (num - 1 - i)))[0]
@@ -145,6 +150,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"need 0 < b-min < b-max < inf, got {args.b_min}, {args.b_max}")
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
+    _require_floats(args.b_min, args.b_max, args.steps)
     grid = _geomspace if args.spacing == "geometric" else _linspace
     rows = [(b, extremal.solve_alpha(b).alpha) for b in grid(args.b_min, args.b_max, args.steps)]
     return _emit(("b", "val"), rows, "csv", args.out)
@@ -155,6 +161,7 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
         raise ValueError(f"c-max must be positive and finite, got {args.c_max}")
     if args.grid < 2:
         raise ValueError(f"grid must be at least 2, got {args.grid}")
+    _require_floats(math.ulp(0.0), args.c_max, args.grid)  # the c points, from c-max / grid up
     cs = _linspace(0.0, args.c_max, args.grid + 1)[1:]
     rows = [(w, c, extremal.objective_alpha(w, c)) for w in _linspace(0.0, 1.0, args.grid) for c in cs]
     return _emit(("w", "c", "val"), rows, "csv", args.out)
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="an integer >= 1; changes neither the result nor the work")
     add_common(p)
     p.set_defaults(func=_cmd_simulate)
 

@@ -81,8 +81,9 @@ def gap_report(dist: DiscreteDistribution, n: int, mode: VarianceMethod = Varian
         true = poissonized_variance(dist, n).value
     else:
         raise ValueError(f"mode must be EXACT or POISSONIZED, got {mode}")
-    p2q, pq, iid = _binomial_sums(dist, n, ("p^2 q", "p q", "p^2 q (1-q)"))  # one q for both factors
-    sub = p2q + pq / n
+    _binomial_sums(dist, n, ("p^2 q", "p q", "p^2 q (1-q)"))  # keeps all three from one q; both factors read them
+    sub = subgamma_v(dist, n)
+    iid = iid_majorization_v(dist, n)
     return GapReport(
         n=n,
         mode=mode,

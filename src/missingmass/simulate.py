@@ -11,35 +11,33 @@ only. Block b draws its uniforms from one counter-based Philox stream
 is b, so stream b starts b * 2**128 counter steps in and no block can
 run into the next. Trial t is row t % r of block t // r, and a shorter last block
 draws a prefix of the same stream, so every trial value is a pure function
-of (dist, n, seed, t), whatever the trial count or worker count.
+of (dist, n, seed, t), whatever the trial count.
 
 Within a block the kernel draws the r x n raw 64-bit words of the
 block's stream; word w stands for the uniform u = (w >> 11) * 2**-53 that
 ``Generator.random`` makes of it, and u lands on the atom
 searchsorted(cdf, u, "right"), clamped to m - 1. A guide table (Chen &
 Asau 1974; Devroye 1986, section III.2.4) of G = 2**bits buckets, built
-once per call and read by every block and thread, maps w >> (64 - bits),
+once per call and read by every block, maps w >> (64 - bits),
 which is floor(u G), straight to that atom. Only a draw whose bucket has
 a CDF value strictly inside it, a miss, is looked up in the CDF. G is the
 power of two from 32 m up, capped at 2**20 and at a quarter of the call's
 draws; uncapped, at most 1/32 of the buckets miss. A trial's seen set does not
 depend on draw order, so nothing is sorted but the misses. The kernel
 then zeroes each row's seen atoms in an r x m copy of the masses and sums
-each row. The 2**14 budget keeps a block's arrays near 400 KB
-per thread. Budgets of 2**16 and 2**18 raised the peak RSS of a
-`perfbench` monte-carlo run from 44.3 MB to 47.3 and 57.7 MB (2-core
-Xeon, one run each) with no speed-up beyond run-to-run noise.
+each row. The 2**14 budget keeps a block's arrays near 400 KB.
+Budgets of 2**16 and 2**18 raised the peak RSS of a `perfbench`
+monte-carlo run from 44.3 MB to 47.3 and 57.7 MB (2-core Xeon, one run
+each) with no speed-up beyond run-to-run noise.
 
-Blocks are spread over at most min(workers, blocks, os.cpu_count())
-threads, each filling its own slice of one trial-indexed array, and the
-statistics are reduced from that array in index order.
+The blocks run one after another in the calling thread, each filling its
+own slice of one trial-indexed array, and the statistics are reduced from
+that array in index order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +152,7 @@ def _trial_block(
     return unseen.sum(axis=1)
 
 
-def _missing_masses(dist: DiscreteDistribution, n: int, trials: int, seed: int, workers: int) -> np.ndarray:
+def _missing_masses(dist: DiscreteDistribution, n: int, trials: int, seed: int) -> np.ndarray:
     """Missing mass of trials 0 to ``trials`` - 1, for checked arguments."""
     probs = dist.probs
     cdf = np.cumsum(probs)
@@ -162,20 +160,9 @@ def _missing_masses(dist: DiscreteDistribution, n: int, trials: int, seed: int, 
     key = _master_key(seed)
     rows = _block_trials(n, probs.size)
     values = np.empty(trials, dtype=np.float64)
-
-    def fill(block: int) -> None:
-        lo = block * rows
+    for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
-        values[lo:hi] = _trial_block(probs, cdf, table, n, key, block, hi - lo)
-
-    blocks = range(-(-trials // rows))
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
+        values[lo:hi] = _trial_block(probs, cdf, table, n, key, lo // rows, hi - lo)
     return values
 
 
@@ -184,7 +171,7 @@ def sample_missing_mass(dist: DiscreteDistribution, n: int, seed: int) -> float:
     ``estimate_variance`` with the same seed."""
     n = _require_sample_size(n)
     seed = _require_int(seed, "seed", 0)
-    return float(_missing_masses(dist, n, 1, seed, 1)[0])
+    return float(_missing_masses(dist, n, 1, seed)[0])
 
 
 def estimate_variance(
@@ -196,15 +183,16 @@ def estimate_variance(
 ) -> SimulationEstimate:
     """Unbiased empirical variance of M0 over ``trials`` replications.
 
-    ``workers`` caps the threads that run trial blocks; the output is a
-    pure function of (dist, n, trials, seed) for every worker count.
-    ``seed`` must be an integer >= 0.
+    The output is a pure function of (dist, n, trials, seed). ``seed``
+    must be an integer >= 0. ``workers`` must be an integer >= 1 and does
+    nothing else: the trial blocks run one after another in the calling
+    thread, so neither the result nor the work depends on it.
     """
     n = _require_sample_size(n)
     trials = _require_int(trials, "trials", 2)
     seed = _require_int(seed, "seed", 0)
-    workers = _require_int(workers, "workers", 1)
-    values = _missing_masses(dist, n, trials, seed, workers)
+    _require_int(workers, "workers", 1)
+    values = _missing_masses(dist, n, trials, seed)
 
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))

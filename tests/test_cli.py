@@ -186,6 +186,17 @@ class TestSweepCommand:
         assert out == ""
         assert "fewer than 4 floats" in err
 
+    def test_linear_range_without_room_for_the_steps_exits_2(self, capsys):
+        # [1, 1 + eps] holds 2 floats: np.linspace would repeat b = 1 for 3 steps
+        hi = repr(math.nextafter(1.0, 2.0))
+        code, out, _ = run(capsys, "sweep", "--b-min", "1", "--b-max", hi, "--steps", "2")
+        assert code == 0
+        assert [float(r.split(",")[0]) for r in out.strip().split("\n")[1:]] == [1.0, float(hi)]
+        code, out, err = run(capsys, "sweep", "--b-min", "1", "--b-max", hi, "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert "fewer than 3 floats" in err
+
     def test_zero_bmin_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--b-min", "0", "--b-max", "1", "--steps", "10")
         assert code == 2
@@ -252,6 +263,16 @@ class TestLandscapeCommand:
         assert out == ""
         assert "c-max" in err
 
+
+    def test_cmax_without_room_for_the_grid_exits_2(self, capsys):
+        # (0, 2 * 5e-324] holds 2 floats: 2 c points fit, 3 would repeat c = 1e-323
+        code, out, _ = run(capsys, "landscape", "--c-max", "1e-323", "--grid", "2")
+        assert code == 0
+        assert sorted({float(r.split(",")[1]) for r in out.strip().split("\n")[1:]}) == [5e-324, 1e-323]
+        code, out, err = run(capsys, "landscape", "--c-max", "1e-323", "--grid", "3")
+        assert code == 2
+        assert out == ""
+        assert "fewer than 3 floats" in err
 
     def test_huge_cmax_is_finite(self, capsys):
         code, out, _ = run(capsys, "landscape", "--c-max", "1e308", "--grid", "3")

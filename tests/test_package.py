@@ -38,14 +38,22 @@ _SOLVER_SCRIPT = textwrap.dedent(
 )
 
 
-def test_solver_commands_load_no_numpy():
+def _run_fresh(script: str) -> str:
+    """The output of ``script`` in a fresh interpreter that imports this package."""
     src = str(Path(missingmass.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _SOLVER_SCRIPT], env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_solver_commands_load_no_numpy():
+    result = json.loads(_run_fresh(_SOLVER_SCRIPT))
     assert result["codes"] == [0, 0, 0, 0, 0, 2]
     assert "numpy" not in result["modules"]
     assert {"missingmass.dist", "missingmass.variance"}.isdisjoint(result["modules"])
+
+
+def test_simulate_loads_no_thread_pool():
+    assert _run_fresh("import sys, missingmass.simulate; print('concurrent.futures' in sys.modules)") == "False\n"
 
 
 @pytest.mark.parametrize("name", missingmass.__all__)

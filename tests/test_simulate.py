@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -73,8 +74,7 @@ class TestEstimateVariance:
         b = estimate_variance(d, 4, 500, seed=11)
         assert a == b
 
-    def test_worker_count_invisible(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 3 and 7 workers really start 3 and 7 threads
+    def test_worker_count_invisible(self):
         for probs, n in LAYOUTS:
             d = from_probs(probs)
             r = simulate._block_trials(n, d.support_size)
@@ -87,33 +87,17 @@ class TestEstimateVariance:
         with pytest.raises(ValueError, match="workers"):
             estimate_variance(uniform(2), 2, 10, seed=0, workers=workers)
 
-    def test_thread_count_capped_by_blocks_and_cpus(self, monkeypatch):
-        requested = []
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"started a thread: {thread!r}")
 
-        class RecordingPool:  # runs the blocks in this thread and starts none
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         d = uniform(40)
-        r = simulate._block_trials(500, 40)
-        few = estimate_variance(d, 500, 3 * r, seed=1, workers=10**6)
-        estimate_variance(d, 500, 100 * r, seed=1, workers=10**6)
-        assert requested == [3, 8]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        estimate_variance(d, 500, 100 * r, seed=1, workers=10**6)
-        assert requested == [3, 8]
-        assert few == estimate_variance(d, 500, 3 * r, seed=1)
+        trials = 100 * simulate._block_trials(500, 40)
+        est = estimate_variance(d, 500, trials, seed=1, workers=8)
+        monkeypatch.undo()
+        assert est == estimate_variance(d, 500, trials, seed=1)
 
     def test_seed_changes_stream(self):
         d = uniform(6)

@@ -90,6 +90,18 @@ def _require_floats(lo: float, hi: float, num: int) -> None:
         raise ValueError(f"[{lo!r}, {hi!r}] holds fewer than {num} floats, so no {num}-point grid")
 
 
+def _require_increasing(grid: list[float]) -> list[float]:
+    """Return ``grid``, or raise ValueError where rounding repeated a point.
+
+    A range that holds enough floats can still repeat one where it crosses
+    a power of two, since the float spacing halves there.
+    """
+    for x, y in zip(grid, grid[1:]):
+        if not x < y:
+            raise ValueError(f"a {len(grid)}-point grid on [{grid[0]!r}, {grid[-1]!r}] repeats {y!r}")
+    return grid
+
+
 def _geomspace(lo: float, hi: float, num: int) -> list[float]:
     """``num`` >= 2 strictly increasing floats from lo > 0 to hi in geometric progression, both ends exact.
 
@@ -152,7 +164,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
     _require_floats(args.b_min, args.b_max, args.steps)
     grid = _geomspace if args.spacing == "geometric" else _linspace
-    rows = [(b, extremal.solve_alpha(b).alpha) for b in grid(args.b_min, args.b_max, args.steps)]
+    bs = _require_increasing(grid(args.b_min, args.b_max, args.steps))
+    rows = [(b, extremal.solve_alpha(b).alpha) for b in bs]
     return _emit(("b", "val"), rows, "csv", args.out)
 
 
@@ -162,7 +175,7 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise ValueError(f"grid must be at least 2, got {args.grid}")
     _require_floats(math.ulp(0.0), args.c_max, args.grid)  # the c points, from c-max / grid up
-    cs = _linspace(0.0, args.c_max, args.grid + 1)[1:]
+    cs = _require_increasing(_linspace(0.0, args.c_max, args.grid + 1))[1:]
     rows = [(w, c, extremal.objective_alpha(w, c)) for w in _linspace(0.0, 1.0, args.grid) for c in cs]
     return _emit(("w", "c", "val"), rows, "csv", args.out)
 

@@ -245,7 +245,7 @@ class ZeroSumError(DistributionError):
     """Normalization was requested but the masses sum to zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Validated probability vector.
 
@@ -254,6 +254,8 @@ class DiscreteDistribution:
     Next to the cached run profile ``_runs``, ``variance`` keeps on the
     instance the scalar power sums of the last sample size asked, one
     family per attribute, so a repeated call at that n adds no O(m) pass.
+    Equality and hashing go by identity, as those cached values do: two
+    instances with equal masses are different keys.
     """
 
     probs: np.ndarray

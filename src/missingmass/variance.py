@@ -34,15 +34,16 @@ mass is M0 = sum_s p_s * xi_s. This module evaluates Var[M0] three ways:
   covariance term -n (sum p^2 q)^2 with p/(1-p) in place of p and the
   s = s' pairs left out, and which ends at k = n. Since t_i t_j <= 1/4
   and c_k <= 1/k!, the terms past K add at most
-  scale * sum_{k>K} 0.25^k/k!, scale = sum_i a_i S_0[J_i]; the series
-  stops once that computed bound falls below one unit roundoff of scale.
+  scale * sum_{k>K} 0.25^k/k!, scale = sum_i a_i S_0[J_i], and
+  K = 12 is the least K that puts this below one unit roundoff of scale
+  (2.44e-18 scale); so the series always sums k = 1 ... min(12, n).
   Each S_k is a running sum from the last atom, which adds its
   nonnegative terms smallest first with relative error at most
   (m-1) eps; since sum_k c_k 0.25^k <= e^{1/4} - 1 and
   scale <= E[M0]^2/2, rounding moves the series by at most about
   0.15 m eps E[M0]^2, a bound that grows with m; the rows left out add
   their 2 eps diag to that. Cost O(m log m + D_kept + K m) for the D_kept
-  direct terms of the kept rows and K series terms (K <= 12), against
+  direct terms of the kept rows and K = min(12, n) series terms, against
   m(m-1)/2 pair terms for the plain identity, and memory O(m) at any m.
 * ``approx_variance_thm1``: -n (sum p^2 (1-p)^n)^2 + n sum p^3 (1-p)^n.
 * ``poissonized_variance``: the same shape with e^{-np} in place of
@@ -93,6 +94,12 @@ from .sizes import _require_sample_size
 #: evaluated term by term (see the module docstring).
 _SERIES_X = 0.25
 
+#: The series terms summed, k = 1 ... min(_SERIES_TERMS, n): the least K with
+#: x^(K+1)/(K+1)! / (1 - x/(K+2)) <= 2^-53, x = _SERIES_X. The terms past K
+#: add at most scale times the left side (a geometric bound on
+#: sum_{k>K} x^k/k!), so they stay below one unit roundoff of the scale.
+_SERIES_TERMS = 12
+
 
 class VarianceMethod(Enum):
     EXACT = "exact"
@@ -140,33 +147,27 @@ def _suffix_sums(w: np.ndarray) -> np.ndarray:
     return suffix
 
 
-def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int, s0: np.ndarray) -> tuple[float, int, float]:
+def _pair_series(a: np.ndarray, t: np.ndarray, cut: np.ndarray, n: int) -> float:
     """sum_i a_i sum_{j >= cut[i]} a_j [(1 - t_i t_j / n)^n - 1] for pairs with t_i t_j <= _SERIES_X.
 
     Expands the bracket binomially into sum_k (-1)^k c_k sum_i a_i t_i^k S_k[cut[i]]
     with c_k = C(n,k)/n^k and the suffix power sums S_k[j] = sum_{l >= j} a_l t_l^k,
     each a running sum taken from the end of the array, so for masses in
-    descending order the smallest terms are added first. ``s0`` is S_0,
-    ``_suffix_sums(a)``, which the caller has already built. Returns
-    (value, terms summed, bound on the dropped remainder); the bound is
-    exactly 0 when the series ran to its last term k = n.
+    descending order the smallest terms are added first. The terms
+    k = 1 ... min(_SERIES_TERMS, n) go through one ``math.fsum``; the
+    terms past k = 12 add at most scale * 0.25^13/13!/(1 - 1/56), about
+    2.44e-18 scale, with scale = sum_i a_i S_0[cut[i]], and none are left
+    when n <= 12.
     """
     t = np.where(a > 0.0, t, 0.0)  # an atom with a = 0 adds nothing, even at t = inf (p = 1)
-    suffix = s0
     w = a
     c = 1.0
-    tail = 1.0  # x^(k+1)/(k+1)! with x = _SERIES_X: bounds term k+1 relative to terms[0]
-    terms = []  # terms[0] = sum_i a_i S_0[cut[i]], the scale, is not part of the value
-    for k in range(n + 1):
-        terms.append((-1) ** k * c * float(np.sum(w * suffix[cut])))
-        tail *= _SERIES_X / (k + 1)
-        remainder = terms[0] * tail / (1.0 - _SERIES_X / (k + 2))
-        if remainder <= _UNIT_ROUNDOFF * terms[0]:  # at k = 0 only for a zero scale
-            break
-        c *= (n - k) / (n * (k + 1))
+    terms = []
+    for k in range(1, min(_SERIES_TERMS, n) + 1):
+        c *= (n - k + 1) / (n * k)
         w = w * t
-        suffix = _suffix_sums(w)
-    return math.fsum(terms[1:]), k, (0.0 if k == n else remainder)
+        terms.append((-1) ** k * c * float(np.sum(w * _suffix_sums(w)[cut])))
+    return math.fsum(terms)
 
 
 def _diagonal_terms(p: np.ndarray, q: np.ndarray, log_q: np.ndarray) -> np.ndarray:
@@ -272,10 +273,11 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     left out (:func:`_direct_rows`), which raises the result by at most
     2 eps diag, diag = sum p^2 q (1-q). The kept direct terms, few at any
     m (see the module docstring), are built and compensated-summed in one
-    pass; the series is truncated only below one unit roundoff of its own
-    scale, and its suffix sums' rounding, about 0.15 m eps E[M0]^2, grows
-    with m. Cost O(m log m + D_kept + K m) for D_kept kept direct terms and
-    K <= 12 series terms, memory O(m), at any alphabet size.
+    pass; the series is truncated after 12 terms, below one unit roundoff
+    of its own scale, and its suffix sums' rounding, about 0.15 m eps
+    E[M0]^2, grows with m. Cost O(m log m + D_kept + K m) for D_kept kept
+    direct terms and K = min(12, n) series terms, memory O(m), at any
+    alphabet size.
 
     A negative result within (m + 16) eps of sum p^2 q + 2(|direct| +
     |series|), the gross size of the terms that cancel, is rounding and
@@ -293,9 +295,8 @@ def exact_variance(dist: DiscreteDistribution, n: int) -> VarianceEstimate:
     cut = np.maximum(cut, np.arange(1, m + 1))  # the series columns of row i start after i
     diag = _weighted_sum(_diagonal_terms(p, q, log_q), None)
     a = p * q
-    s0 = _suffix_sums(a)
-    direct = _direct_sum(p, q, _direct_rows(a, s0, cut, diag), cut, n)
-    series, _, _ = _pair_series(a, t, cut, n, s0)
+    direct = _direct_sum(p, q, _direct_rows(a, _suffix_sums(a), cut, diag), cut, n)
+    series = _pair_series(a, t, cut, n)
     value = diag + 2.0 * (direct + series)
     if value < 0.0:
         # The diagonal's reference is p^2 q, which bounds its value

@@ -197,6 +197,16 @@ class TestSweepCommand:
         assert out == ""
         assert "fewer than 3 floats" in err
 
+    def test_linear_grid_that_repeats_a_point_exits_2(self, capsys):
+        # [1 - 2**-52, 1 + 2**-51] holds 5 floats, but the spacing doubles at 1,
+        # so numpy's formula rounds two of the 5 points to b = 1
+        code, out, err = run(
+            capsys, "sweep", "--b-min", "0.9999999999999998", "--b-max", "1.0000000000000004", "--steps", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "repeats 1.0" in err
+
     def test_zero_bmin_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--b-min", "0", "--b-max", "1", "--steps", "10")
         assert code == 2
@@ -273,6 +283,14 @@ class TestLandscapeCommand:
         assert code == 2
         assert out == ""
         assert "fewer than 3 floats" in err
+
+    def test_c_grid_that_repeats_a_point_exits_2(self, capsys):
+        # (0, 3e-323] holds 6 floats, room for 4 c points, but the step of 1.5
+        # floats rounds to 2, so the third point lands on c-max as well
+        code, out, err = run(capsys, "landscape", "--c-max", "3e-323", "--grid", "4")
+        assert code == 2
+        assert out == ""
+        assert f"repeats {2.9643938750474793e-323!r}" in err
 
     def test_huge_cmax_is_finite(self, capsys):
         code, out, _ = run(capsys, "landscape", "--c-max", "1e308", "--grid", "3")

@@ -188,6 +188,15 @@ class TestValidation:
     def test_revalidation_never_errors(self, d):
         DiscreteDistribution(d.probs)  # must not raise
 
+    def test_equality_and_hash_go_by_identity(self):
+        # a generated __eq__ would compare the arrays and raise on their truth value
+        d, e = from_probs([0.5, 0.5]), from_probs([0.5, 0.5])
+        assert d == d
+        assert not d == e
+        assert d != e
+        assert hash(d) == hash(d)
+        assert {d, e, d} == {d, e}
+
     def test_probs_read_only(self):
         d = uniform(3)
         with pytest.raises(ValueError):

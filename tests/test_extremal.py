@@ -56,6 +56,17 @@ class TestFindCstar:
         worst_case_distribution(1000, 300)
 
 
+    @pytest.mark.parametrize("b", [0.2, INFINITE])
+    def test_solve_alpha_reads_cstar_through_find_cstar(self, monkeypatch, b):
+        # `perfbench/run.py --trace 1` measures extremal.find_cstar.us only
+        # through this call and exits when that metric has no span, so
+        # solve_alpha must not read _CSTAR directly.
+        calls = []
+        monkeypatch.setattr(extremal, "find_cstar", lambda: calls.append(b) or extremal._CSTAR)
+        solve_alpha(b)
+        assert calls == [b]
+
+
 class TestObjective:
     def test_zero_mass(self):
         for c in (0.0, 0.5, 2.0, 10.0):

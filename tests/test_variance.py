@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ class TestExactAgainstPairwise:
         assert {"none": h == 0, "few": 0 < h <= 10, "many": 50 < h < m, "all": h == m}[heavy]
         _assert_matches_pairwise(d, n)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 100000, 1000000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 12, 13, 1000, 100000, 1000000])
     @pytest.mark.parametrize("shape", ["zipf", "dirichlet"])
     def test_sample_sizes(self, shape, n):
         _assert_matches_pairwise(from_probs(SHAPES[shape](300), normalize=True), n)
@@ -396,9 +397,7 @@ class TestClamp:
         n = 100000
         assert 1e-17 < exact_variance(d, n).value < 1e-16
         pair_series = variance._pair_series
-        monkeypatch.setattr(
-            variance, "_pair_series", lambda *args: (lambda v, k, r: (v - 1e-14, k, r))(*pair_series(*args))
-        )
+        monkeypatch.setattr(variance, "_pair_series", lambda *args: pair_series(*args) - 1e-14)
         assert exact_variance(d, n).value < -1e-14
 
     def test_rounding_below_zero_is_cleared(self, monkeypatch):
@@ -412,9 +411,7 @@ class TestClamp:
         assert exact_variance(d, n).value == 0.0
         shift = m * 2.0**-55 * (m - 1) / m**2  # sum p^2 q = (m - 1) / m^2
         pair_series = variance._pair_series
-        monkeypatch.setattr(
-            variance, "_pair_series", lambda *args: (lambda v, k, r: (v - shift, k, r))(*pair_series(*args))
-        )
+        monkeypatch.setattr(variance, "_pair_series", lambda *args: pair_series(*args) - shift)
         assert exact_variance(d, n).value == 0.0
 
 
@@ -423,8 +420,28 @@ def _pair_cut(t: np.ndarray) -> np.ndarray:
     return np.array([next((j for j in range(i + 1, t.size) if t[i] * t[j] <= 0.25), t.size) for i in range(t.size)])
 
 
+def _tail_bound(terms: int) -> Fraction:
+    """x^(K+1)/(K+1)! / (1 - x/(K+2)), x = 1/4: the terms past K relative to the scale."""
+    x = Fraction(1, 4)
+    return x ** (terms + 1) / math.factorial(terms + 1) / (1 - x / (terms + 2))
+
+
+def _count_suffix_sums(monkeypatch) -> list[int]:
+    """Record the size of every suffix sum built: the pair series builds one per term."""
+    sizes = []
+    monkeypatch.setattr(variance, "_suffix_sums", lambda w: sizes.append(w.size) or _suffix_sums(w))
+    return sizes
+
+
 class TestPairSeries:
-    def test_truncation_within_stated_bound(self):
+    def test_term_count_is_the_least_below_one_roundoff(self):
+        # 12 is the first K with (1/4)^(K+1)/(K+1)! <= 2^-53 (1 - 1/(4(K+2))),
+        # derived in exact rationals
+        eps = Fraction(1, 2**53)
+        assert [k for k in range(40) if _tail_bound(k) <= eps][0] == variance._SERIES_TERMS == 12
+        assert f"{float(_tail_bound(12)):.3g}" == "2.44e-18"  # the bound the docstrings state
+
+    def test_truncation_within_stated_bound(self, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
         n = 200
         rng = np.random.default_rng(3)
@@ -434,9 +451,13 @@ class TestPairSeries:
         a = 1e-2 * rng.random(t.size)
         cut = _pair_cut(t)
         pairs = [(i, j) for i in range(t.size) for j in range(cut[i], t.size)]
-        value, terms, bound = _pair_series(a, t, cut, n, _suffix_sums(a))
-        assert terms < n
-        assert bound <= 2.0**-53 * math.fsum(a[i] * a[j] for i, j in pairs)  # the stopping rule
+        scale = math.fsum(a[i] * a[j] for i, j in pairs)
+        terms = variance._SERIES_TERMS
+        bound = scale * float(_tail_bound(terms))
+        built = _count_suffix_sums(monkeypatch)
+        value = _pair_series(a, t, cut, n)
+        assert len(built) == terms < n
+        assert bound <= 2.0**-53 * scale  # the stopping rule
         with mpmath.workdps(40):
             ma = [mpmath.mpf(x) for x in a]
             mt = [mpmath.mpf(x) for x in t]
@@ -448,15 +469,28 @@ class TestPairSeries:
             assert abs(full - partial) <= bound  # the dropped tail
             assert abs(value - full) <= bound + 1e-15 * abs(full)
 
-    def test_short_series_runs_to_its_last_term(self):
+    def test_short_series_runs_to_its_last_term(self, monkeypatch):
         a = np.array([0.3, 0.2, 0.1])
         t = np.array([1.0, 0.4, 0.1])  # t_0 t_1 = 0.4: the pair (0, 1) is not in the series
         cut = _pair_cut(t)
         assert cut.tolist() == [2, 2, 3]
         n = 5
-        value, terms, bound = _pair_series(a, t, cut, n, _suffix_sums(a))
-        assert (terms, bound) == (n, 0.0)
+        built = _count_suffix_sums(monkeypatch)
+        value = _pair_series(a, t, cut, n)
+        assert len(built) == n
         want = sum(a[i] * a[j] * ((1 - t[i] * t[j] / n) ** n - 1) for i in range(3) for j in range(cut[i], 3))
+        assert value == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 12])
+    def test_series_up_to_12_terms_is_complete(self, monkeypatch, n):
+        # for n <= 12 the series ends at k = n, so it is the closed form up to rounding
+        a = np.array([0.3, 0.2, 0.1, 0.05])
+        t = np.array([1.0, 0.4, 0.25, 0.1])
+        cut = _pair_cut(t)
+        built = _count_suffix_sums(monkeypatch)
+        value = _pair_series(a, t, cut, n)
+        assert len(built) == n
+        want = math.fsum(a[i] * a[j] * ((1 - t[i] * t[j] / n) ** n - 1) for i in range(4) for j in range(cut[i], 4))
         assert value == pytest.approx(want, rel=1e-14)
 
 

@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 #: Each public name and the submodule it lives in.
 _EXPORTS = {
-    "AlphabetBound": "sizes",
     "BracketError": "extremal",
     "DiscreteDistribution": "dist",
     "DistributionError": "dist",

@@ -42,7 +42,6 @@ from typing import Iterable
 import numpy as np
 
 from .sizes import DIRAC_OMIT_THRESHOLD, _require_int
-from .sizes import INFINITE, AlphabetBound  # only re-exported
 
 #: Absolute tolerance on |sum(probs) - 1|. Loose enough to absorb rounding
 #: accumulated over ~1e6 atoms, tight enough to catch construction bugs.
@@ -369,7 +368,7 @@ def uniform_dirac(atom_count: int, atom_mass: float, dirac_mass: float) -> Discr
 def from_file(path: str | Path) -> DiscreteDistribution:
     """Read one probability per line; '#' comments and blank lines ignored."""
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of line 1
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

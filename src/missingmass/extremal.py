@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, AlphabetBound, _require_sample_size
+from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, _require_alphabet, _require_sample_size
 
 if TYPE_CHECKING:
     from .dist import DiscreteDistribution
@@ -67,7 +67,8 @@ class WorstCaseSpec:
     """Integer-feasible rounding of the continuous maximizer.
 
     ``atom_count`` equal atoms of ``atom_mass`` plus one point mass of
-    ``dirac_mass`` (reported as 0 when it vanishes). ``atom_count`` can be 0
+    ``dirac_mass`` (reported as 0 when it vanishes): for alphabet size m,
+    ``atom_count + (dirac_mass > 0) <= m``. ``atom_count`` can be 0
     only in the degenerate regime n < c*, where the whole mass collapses
     onto the point: ``atom_mass`` is then 0 and ``dirac_mass`` 1.
     ``solution`` is the continuous maximizer that was rounded.
@@ -164,8 +165,6 @@ def solve_alpha(b: float) -> ExtremalSolution:
     exactly. The sign of the derivative is evaluated in a form that stays
     finite for any b > 0, including subnormal b.
     """
-    if isinstance(b, AlphabetBound):
-        b = b.value
     if not b > 0.0:
         raise InvalidRatioError(f"alphabet ratio must be positive, got {b!r}")
     cstar = find_cstar()
@@ -178,27 +177,29 @@ def solve_alpha(b: float) -> ExtremalSolution:
     return ExtremalSolution(alpha=objective_alpha(w, c), w=w, c=c, regime=regime, b=b)
 
 
-def worst_case_distribution(n: int, m: AlphabetBound | int | float = INFINITE) -> WorstCaseSpec:
+def worst_case_distribution(n: int, m: int | float = INFINITE) -> WorstCaseSpec:
     """Variance-maximizing uniform-plus-point-mass shape for (n, m).
 
-    With (w, c) from ``solve_alpha`` set p1 = c/n and k = w/p1; the atom
-    count is ceil(k) capped at m-1, falling back to floor(k) whenever the
-    ceiling would overshoot total mass 1 (a negative point mass is not a
-    distribution). The remainder becomes the point mass, reported as 0
-    below :data:`~missingmass.sizes.DIRAC_OMIT_THRESHOLD`. With no atom
-    (n < c*) ``atom_mass`` is 0, not p1.
+    With (w, c) from ``solve_alpha`` at b = m/n set p1 = c/n and k = w/p1;
+    the atom count is ceil(k) capped at the exact integer m-1, falling back
+    to floor(k) whenever the ceiling would overshoot total mass 1 (a
+    negative point mass is not a distribution). The remainder becomes the
+    point mass, reported as 0 below
+    :data:`~missingmass.sizes.DIRAC_OMIT_THRESHOLD`, so the shape has
+    ``atom_count + (dirac_mass > 0) <= m`` symbols. With no atom (n < c*)
+    ``atom_mass`` is 0, not p1.
     """
     n = _require_sample_size(n)
-    bound = m if isinstance(m, AlphabetBound) else AlphabetBound(m)
-    if bound.is_finite and bound.value < 2:
-        raise InvalidAlphabetError(f"need at least 2 alphabet symbols, got {bound.value:g}")
-    sol = solve_alpha(INFINITE if not bound.is_finite else bound.value / n)
+    m = _require_alphabet(m)
+    if m < 2:
+        raise InvalidAlphabetError(f"need at least 2 alphabet symbols, got {m:g}")
+    sol = solve_alpha(float(m) / n)
     p1 = sol.c / n
     k = sol.w / p1
-    cap = bound.value - 1.0 if bound.is_finite else math.inf
-    atom_count = int(min(math.ceil(k), cap))
+    cap = m - 1  # an exact int, or INFINITE
+    atom_count = min(math.ceil(k), cap)
     if atom_count * p1 > 1.0:
-        atom_count = int(min(math.floor(k), cap))
+        atom_count = min(math.floor(k), cap)
     dirac = 1.0 - atom_count * p1
     if dirac < DIRAC_OMIT_THRESHOLD:
         dirac = 0.0

@@ -1,8 +1,9 @@
 """Sample and alphabet sizes: the checks and markers every module shares.
 
-This module imports no numpy, so the extremal solver and the commands
-that use only it start without numpy. ``dist`` re-exports
-``INFINITE`` and ``AlphabetBound``.
+Each check is a ``_require_*`` function that returns the size as a Python
+int (or, for the alphabet, :data:`INFINITE`) and raises ValueError for
+anything else. This module imports no numpy, so the extremal solver and
+the commands that use only it start without numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 #: Point masses below this are dropped by ``dist.uniform_dirac``; under
 #: double precision they cannot influence any downstream objective.
@@ -45,23 +45,17 @@ def _require_sample_size(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class AlphabetBound:
-    """Alphabet size constraint: a positive integer or :data:`INFINITE`."""
+def _require_alphabet(m: int | float) -> int | float:
+    """The alphabet size m as a Python int, or :data:`INFINITE`; ValueError otherwise.
 
-    value: float
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if v == INFINITE:
-            return
-        if v > sys.float_info.max:  # compared exactly; float(v) would overflow
-            raise ValueError(f"alphabet bound must be at most {sys.float_info.max:g}, the largest float, or INFINITE")
-        if not (float(v).is_integer() and v >= 1):
-            raise ValueError(f"alphabet bound must be a positive integer or INFINITE, got {v!r}")
-        object.__setattr__(self, "value", float(v))
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
+    Any integral value from 1 to the largest float passes, numpy's integers
+    and integral floats such as 20.0 included, and comes back as an exact
+    int, so that m - 1 does not round back to m above 2**53.
+    """
+    if m == INFINITE:
+        return INFINITE
+    if m > sys.float_info.max:  # compared exactly; float(m) would overflow
+        raise ValueError(f"alphabet bound must be at most {sys.float_info.max:g}, the largest float, or INFINITE")
+    if not (float(m).is_integer() and m >= 1):
+        raise ValueError(f"alphabet bound must be a positive integer or INFINITE, got {m!r}")
+    return int(m)

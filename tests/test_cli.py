@@ -120,6 +120,12 @@ class TestMaximizeCommand:
         assert list(record) == ["alpha", "w", "c", "regime", "atom_count", "atom_mass", "dirac_mass", "variance_estimate"]
         assert (record["atom_count"], record["atom_mass"], record["dirac_mass"]) == (0, 0.0, 1.0)
 
+    def test_alphabet_above_2_53_keeps_m_symbols(self, capsys):
+        code, out, _ = run(capsys, "maximize", "--n", str(10**17), "--m", str(10**16))
+        assert code == 0
+        record = json.loads(out)
+        assert record["atom_count"] == 10**16 - 1 and record["dirac_mass"] > 0
+
     def test_degenerate_alphabet_exits_2(self, capsys):
         code, _, _ = run(capsys, "maximize", "--n", "100", "--m", "1")
         assert code == 2

@@ -1,5 +1,7 @@
+import codecs
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 
 from missingmass import (
     INFINITE,
-    AlphabetBound,
     DiscreteDistribution,
     DistributionError,
     EmptyDistributionError,
@@ -24,23 +25,30 @@ from missingmass import (
     uniform_dirac,
     worst_case_distribution,
 )
-from missingmass import dist
+from missingmass import dist, sizes
 from missingmass.dist import NORMALIZATION_ATOL, _SUM_WIDTH, _compensated_sum, _weighted_sum
 from oracles import fsum_reference
 
 
 class TestAlphabetBound:
+    """The alphabet size m, checked by ``sizes._require_alphabet``."""
+
     def test_finite(self):
-        b = AlphabetBound(7)
-        assert b.is_finite and b.value == 7.0
+        m = sizes._require_alphabet(np.int64(7))
+        assert m == 7 and type(m) is int
 
     def test_infinite(self):
-        assert not AlphabetBound(INFINITE).is_finite
+        assert sizes._require_alphabet(INFINITE) is INFINITE
 
     @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), -math.inf, 10**400])
     def test_rejects_bad_values(self, value):
-        with pytest.raises(ValueError):
-            AlphabetBound(value)
+        message = "largest float" if value == 10**400 else "positive integer"
+        with pytest.raises(ValueError, match=message):
+            worst_case_distribution(100, value)
+
+    def test_integral_types_give_one_spec(self):
+        specs = [worst_case_distribution(100, m) for m in (20, 20.0, np.int64(20), np.uint8(20))]
+        assert all(spec == specs[0] for spec in specs)
 
 
 class TestFromProbs:
@@ -254,6 +262,18 @@ class TestFromFile:
         f = tmp_path / "d.txt"
         f.write_text("0.5\nhalf\n")
         with pytest.raises(DistributionError, match="not a number"):
+            from_file(f)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_byte_order_mark(self, tmp_path, newline):
+        f = tmp_path / "d.txt"
+        f.write_bytes(codecs.BOM_UTF8 + newline.join(["0.5", "0.25", "0.25", ""]).encode())
+        assert from_file(f).probs.tolist() == [0.5, 0.25, 0.25]
+
+    def test_byte_order_mark_before_bad_line(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_bytes(codecs.BOM_UTF8 + b"x\n0.5\n")
+        with pytest.raises(DistributionError, match=re.escape(f"{f}:1: not a number: 'x'")):
             from_file(f)
 
     def test_not_normalized(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from missingmass import (
     INFINITE,
-    AlphabetBound,
     BracketError,
     InvalidAlphabetError,
     InvalidRatioError,
@@ -200,9 +199,6 @@ class TestSolveAlpha:
             assert abs(sol.c - want_c) <= 1e-12 * want_c, b
             assert abs(sol.alpha - want_alpha) <= 1e-14 * want_alpha, b
 
-    def test_accepts_alphabet_bound_ratio(self):
-        assert solve_alpha(AlphabetBound(INFINITE)).alpha == solve_alpha(INFINITE).alpha
-
 
 class TestWorstCase:
     def test_unbounded_n1000(self):
@@ -239,9 +235,29 @@ class TestWorstCase:
         b = INFINITE if not math.isfinite(m) else m / n
         assert worst_case_distribution(n, m).solution == solve_alpha(b)
 
-    def test_alphabet_bound_type(self):
-        spec = worst_case_distribution(100, AlphabetBound(20))
-        assert spec.atom_count == 19
+    # (atom_count, and float.hex of atom_mass, dirac_mass, alpha, w, c) for the
+    # cli-pipeline benchmark's four maximize cases and for (100, 20)
+    @pytest.mark.parametrize(
+        "n, m, want",
+        [
+            (1000, INFINITE, (441, "0x1.28974f0100b02p-9", "0x1.1358e745d0a00p-9", "0x1.e8d24d6bca536p-2", "0x1.0000000000000p+0", "0x1.21a3c326faac0p+1")),
+            (1000, 300, (299, "0x1.954635963e72bp-9", "0x1.3537fb4c28808p-4", "0x1.8b032db197a95p-2", "0x1.daee46cc112e6p-1", "0x1.8bc69054b8fc0p+1")),
+            (10**6, INFINITE, (441928, "0x1.2fb5906354ac3p-19", "0x1.c5c6bcbd00000p-21", "0x1.e8d24d6bca536p-2", "0x1.0000000000000p+0", "0x1.21a3c326faac0p+1")),
+            (10**6, 10**5, (99999, "0x1.96b3794d36b90p-19", "0x1.64db7eef01eb4p-1", "0x1.0f3b58edee75fp-3", "0x1.3649cd7bb8d00p-2", "0x1.83dc40daa7040p+1")),
+            (100, 20, (19, "0x1.f57d43f0abfaep-6", "0x1.ac7b3f5233c62p-2", "0x1.0b3e93623edfdp-2", "0x1.396e4a766b7cdp-1", "0x1.87c9dd14065c0p+1")),
+        ],
+    )
+    def test_pinned_specs(self, n, m, want):
+        spec = worst_case_distribution(n, m)
+        sol = spec.solution
+        floats = (spec.atom_mass, spec.dirac_mass, sol.alpha, sol.w, sol.c)
+        assert (spec.atom_count, *map(float.hex, floats)) == want
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 2**53 + 3, 10**16, 10**17 + 3, 10**19])
+    def test_symbols_fit_the_alphabet_above_2_53(self, m):
+        # float(m) - 1 rounds to m or past it for some of these m; the cap m - 1 must stay exact
+        spec = worst_case_distribution(10 * m, m)
+        assert spec.atom_count + (spec.dirac_mass > 0) <= m
 
     def test_rejects_tiny_alphabet(self):
         with pytest.raises(InvalidAlphabetError):

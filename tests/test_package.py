@@ -80,11 +80,12 @@ def test_unknown_name_raises_attribute_error():
         missingmass.no_such_name
 
 
-def test_re_exported_size_names():
-    from missingmass import dist, sizes
+def test_size_names_are_not_re_exported():
+    from missingmass import dist
 
-    assert dist.INFINITE is sizes.INFINITE
-    assert dist.AlphabetBound is sizes.AlphabetBound
+    with pytest.raises(AttributeError, match="AlphabetBound"):
+        missingmass.AlphabetBound
+    assert not hasattr(dist, "INFINITE")
 
 
 def _results():

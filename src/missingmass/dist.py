@@ -6,19 +6,22 @@ reasons about alphabet slots, not occupied slots.
 
 This module is also the one home of the library's compensated atom sum,
 :func:`_compensated_sum`, since it is the module every other one imports.
-From one 2048-term row up it runs a vectorised TwoSum fold, and the
-result is within one rounding of the exact sum plus a term of order
-eps^2 sum|x|. Below one row it returns the correctly rounded sum, what
-``math.fsum`` over the terms returns, and size alone picks the path.
-Fewer than 768 terms get plain fsum. From 768 to 2047 terms the same
-fold runs down to 64 lanes, and ``math.fsum`` over their 128 sums and
-errors gives a value r and its residual d. A certificate,
-r + d +- gamma_2h^2 sum|x| inside the interval that rounds to r for h
-halvings, proves r is the correctly rounded sum. Where it cannot, fsum
-runs over the terms. On the ``perfbench`` inputs, seeds 1-10, 230 of
-the 790 short sums had 768 or more terms, and a cost model that
-estimated fsum's cost from the terms' span folded all 230: size alone
-routes them the same way.
+Every sum of 768 terms or more takes one column pass: the terms are laid
+out in rows, 2048 wide from 2048 terms up and otherwise as wide as the
+largest power of two that fits, the rows are added down the columns by a
+vectorised TwoSum, and the columns are halved to 64 lanes. ``math.fsum``
+then adds the 128 lane sums and errors. From one 2048-term row up that is
+the result: the correctly rounded total of the 128 partials, within one
+rounding of the exact sum plus a term of order eps^2 sum|x|. Below one
+row the result is the correctly rounded sum, what ``math.fsum`` over the
+terms returns, and size alone picks the path. Fewer than 768 terms get
+plain fsum. From 768 to 2047 terms the partials' fsum gives a value r
+and its residual d. A certificate, r + d +- gamma_2(h+1)^2 sum|x| inside
+the interval that rounds to r for h halvings, proves r is the correctly
+rounded sum. Where it cannot, fsum runs over the terms. On the
+``perfbench`` inputs, seeds 1-10, 230 of the 790 short sums had 768 or
+more terms, and a cost model that estimated fsum's cost from the terms'
+span folded all 230: size alone routes them the same way.
 
 A distribution whose masses come in long runs of equal consecutive atoms,
 like ``uniform(m)`` and the worst case (equal atoms and one point mass),
@@ -41,28 +44,29 @@ from typing import Iterable
 
 import numpy as np
 
-from .sizes import DIRAC_OMIT_THRESHOLD, _require_int
+from .sizes import DIRAC_OMIT_THRESHOLD, _orders, _require_int
 
 #: Absolute tolerance on |sum(probs) - 1|. Loose enough to absorb rounding
 #: accumulated over ~1e6 atoms, tight enough to catch construction bugs.
 NORMALIZATION_ATOL = 1e-9
 
-#: Column count of the (rows, _SUM_WIDTH) view that :func:`_compensated_sum`
-#: runs down; a shorter input that is folded is zero-padded to a power of two.
+#: Row width of :func:`_compensated_sum`'s column pass from one row up;
+#: a shorter input that takes the pass has rows of 512 or 1024.
 _SUM_WIDTH = 2048
 
-#: A short input is folded down to this many lanes, whose sums and errors
-#: then go to ``math.fsum``: 128 partials over few binades, where fsum is
-#: fast, while each further halving would cost more than it saves there.
-_SHORT_LANES = 64
+#: The column pass halves its columns down to this many lanes, whose sums
+#: and errors then go to ``math.fsum``: 128 partials over few binades,
+#: where fsum is fast, while each further halving would cost more than it
+#: saves there.
+_LANES = 64
 
 #: Inputs shorter than this get plain ``math.fsum``, which reads them
-#: through a memoryview; longer ones, up to one row, get the fold and its
-#: certificate. Timed per call on a 2-core Xeon, the fold costs 35-50 us
-#: from 768 to 2047 terms whatever they span, and breaks even with fsum
-#: at about 2000 terms within a few binades and below 512 terms over 1000
-#: binades; from 768 terms up it costs close terms at most about 15 us
-#: more than fsum, and saves 60-250 us on terms over 1000 binades.
+#: through a memoryview; longer ones, up to one row, get the column pass
+#: and its certificate. Timed per call on a 2-core Xeon, the pass costs
+#: 33-46 us from 768 to 2047 terms, against 19-50 us for fsum on terms
+#: within a few binades and 100-300 us on terms over 1000 binades: from
+#: 768 terms up it costs close terms at most about 15 us more than fsum,
+#: and saves 60-250 us on terms over 1000 binades.
 _SHORT_FOLD_MIN = 768
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -96,100 +100,95 @@ def _two_sum(s: np.ndarray, x: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.n
     np.add(e, w, out=e)
 
 
-def _fold(s: np.ndarray, e: np.ndarray, t: np.ndarray, z: np.ndarray, w: np.ndarray, lanes: int) -> np.ndarray:
-    """Fold the columns of s in half by TwoSum until ``lanes`` are left, adding e along the same halvings.
+def _lane_partials(x: np.ndarray, width: int) -> list[float]:
+    """The _LANES column sums and _LANES column errors of x laid out in rows of ``width``, a power of two.
 
-    s.size must be ``lanes`` times a power of two; t, z and w are scratch
-    arrays as long as s. Returns the array, s or t, that holds the sums in
-    its first ``lanes`` entries; e holds the errors in its own.
+    x needs at least one full row. The first row is copied into the
+    columns, each further full row and then the tail are added to them by
+    the vectorised TwoSum, and the columns are halved by the same TwoSum
+    down to _LANES lanes, the errors added along the same halvings. Every
+    term passes through at most rows + h TwoSums, for the rows full rows
+    and the h = log2(width / _LANES) halvings, and every error through at
+    most as many roundings, so the partials' exact total lies within
+    gamma_2(rows+h)^2 sum|x| of x's exact sum, gamma_k = k eps / (1 - k eps).
+    Scratch is one (5, width) block: with the first row copied into an
+    array of its own instead, 1e6 terms took up to a quarter longer in
+    interleaved timings on a 2-core Xeon.
     """
-    width = s.size
-    while width > lanes:
+    rows, k = divmod(x.size, width)
+    s, e, t, z, w = np.zeros((5, width))
+    s[:] = x[:width]
+    for row in x[width : rows * width].reshape(rows - 1, width):
+        _two_sum(s, row, e, t, z, w)
+        s, t = t, s
+    _two_sum(s[:k], x[rows * width :], e[:k], t[:k], z[:k], w[:k])
+    s[:k] = t[:k]
+    while width > _LANES:
         width //= 2
         np.add(e[:width], e[width : 2 * width], out=e[:width])
         _two_sum(s[:width], s[width : 2 * width], e[:width], t[:width], z[:width], w[:width])
         s, t = t, s
-    return s
+    return s[:_LANES].tolist() + e[:_LANES].tolist()
 
 
 def _short_sum(x: np.ndarray) -> float:
     """Sum of fewer than _SUM_WIDTH terms, correctly rounded: equal to ``math.fsum`` over them.
 
     Size alone picks the path. Fewer than _SHORT_FOLD_MIN terms get plain
-    fsum. Longer ones, with sum|x| finite and below 2^1023, are zero-padded
-    to a power of two and folded by :func:`_fold` down to _SHORT_LANES
-    lanes in h halvings. The lanes' sums and errors are the partials;
-    r = fsum(partials) and d = fsum(partials + [-r]), so r + d is their
-    exact total. The TwoSums are exact, their rounding errors add up to at
-    most gamma_h sum|x|, and each error reaches the lanes through at most
-    2h roundings, so the exact sum lies within gamma_2h^2 sum|x| of r + d.
-    When that whole interval, with a margin, lies within half the spacing
-    to the floats next to r, on each side, the exact sum rounds to r,
-    which is what fsum returns. Otherwise the result is ``math.fsum`` over
-    the terms, or NaN where fsum raises. The 2^1023 cap keeps the fold and
+    fsum. Longer ones, with sum|x| finite and below 2^1023, go through
+    :func:`_lane_partials` in rows as wide as the largest power of two
+    that fits, 512 or 1024, so one row and a tail in h halvings. For the
+    partials, r = fsum(partials) and d = fsum(partials + [-r]), so r + d
+    is their exact total, and the exact sum lies within
+    gamma_2(h+1)^2 sum|x| of r + d. When that whole interval, with a
+    margin, lies within half the spacing to the floats next to r, on each
+    side, the exact sum rounds to r, which is what fsum returns. Otherwise
+    the result is ``math.fsum`` over the terms, which raises where it
+    overflows or meets inf - inf. The 2^1023 cap keeps the columns and
     fsum's running sums from overflowing; inf and NaN terms fail it.
     """
     if x.size >= _SHORT_FOLD_MIN:
         scale = float(np.add.reduce(np.abs(x)))
         if 0.0 < scale < 2.0**1023:
-            lanes = 1 << (x.size - 1).bit_length()  # the next power of two
-            s, e, t, z, w = np.zeros((5, lanes))
-            s[: x.size] = x
-            s = _fold(s, e, t, z, w, _SHORT_LANES)
-            partials = s[:_SHORT_LANES].tolist() + e[:_SHORT_LANES].tolist()
+            width = 1 << (x.size.bit_length() - 1)  # the largest power of two <= x.size
+            partials = _lane_partials(x, width)
             r = math.fsum(partials)
             partials.append(-r)
             d = math.fsum(partials)
-            depth = 2 * ((lanes // _SHORT_LANES).bit_length() - 1)  # 2h
+            depth = 2 * (width // _LANES).bit_length()  # 2(h + 1)
             gamma = depth * _UNIT_ROUNDOFF / (1.0 - depth * _UNIT_ROUNDOFF)
             # the factor 2 and the 2^-20 |d| cover the roundings of sum|x|, of d and of these lines
             err = 2.0 * gamma * gamma * scale + abs(d) * 2.0**-20
             if 2.0 * (d + err) < math.nextafter(r, math.inf) - r and 2.0 * (err - d) < r - math.nextafter(r, -math.inf):
                 return r
-    try:
-        return math.fsum(memoryview(x))  # the same floats as x.tolist(), without building the list
-    except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
-        return math.nan
+    return math.fsum(memoryview(x))  # the same floats as x.tolist(), without building the list
 
 
 def _compensated_sum(x: np.ndarray) -> float:
     """Sum of every entry of a float64 array, as if in twice the working precision.
 
-    Sum2 of Ogita, Rump & Oishi (2005, "Accurate sum and dot product"): the
-    leading rows of :data:`_SUM_WIDTH` terms are added down the columns of
-    one accumulator by a cascaded TwoSum, vectorised across the columns;
-    one more TwoSum adds the leftover tail into the first columns. The
-    columns are then folded in half log2(_SUM_WIDTH) = 11 times by the
-    same vectorised TwoSum (:func:`_fold`), the column errors are added
-    along the same halvings, and the result is s[0] + e[0]. Every term
-    thus passes through at most rows + 12 TwoSums and every error through
-    at most rows + 23 roundings, and their argument for Sum2, with these
-    depths in place of the term count, puts the result within one
-    rounding of the exact sum plus gamma_{rows+23}^2 * sum|x|,
-    gamma_k = k eps / (1 - k eps); the tests hold it to one ulp plus
-    rows * eps^2 * sum|x|. With no full row the result is the correctly
+    Sum2 of Ogita, Rump & Oishi (2005, "Accurate sum and dot product"),
+    vectorised across columns: from one :data:`_SUM_WIDTH`-term row up,
+    :func:`_lane_partials` adds the rows down the columns by a cascaded
+    TwoSum and halves the columns to 64 lanes, and the result is
+    ``math.fsum`` over their 128 sums and errors: the correctly rounded
+    total of those partials, whose exact total lies within
+    gamma_2(rows+5)^2 * sum|x| of the exact sum for the rows full rows
+    (gamma_k = k eps / (1 - k eps)); the tests hold the result to one ulp
+    plus rows * eps^2 * sum|x|. With no full row the result is the correctly
     rounded sum, equal to ``math.fsum`` over the entries: plain fsum on
-    fewer than 768 entries, otherwise the same fold down to 64 lanes and a
-    certificate that their fsum is correctly rounded (see
-    :func:`_short_sum`). Memory is
-    O(_SUM_WIDTH) beyond the input, and the cost past the column pass is
-    a fixed 12 vectorised TwoSums. A non-finite entry or an overflowing
-    sum gives the plain numpy sum, inf or NaN, not an exception.
+    fewer than 768 entries, otherwise the same column pass and a
+    certificate that the partials' fsum is correctly rounded (see
+    :func:`_short_sum`). Memory is O(_SUM_WIDTH) beyond the input. A
+    non-finite entry or an overflowing sum gives the plain numpy sum, inf
+    or NaN, not an exception.
     """
     x = np.ravel(x)
-    rows, k = divmod(x.size, _SUM_WIDTH)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not rows:
-            total = _short_sum(x)
-        else:
-            s, e, t, z, w = np.zeros((5, _SUM_WIDTH))
-            for row in x[: rows * _SUM_WIDTH].reshape(rows, _SUM_WIDTH):
-                _two_sum(s, row, e, t, z, w)
-                s, t = t, s
-            _two_sum(s[:k], x[rows * _SUM_WIDTH :], e[:k], t[:k], z[:k], w[:k])
-            s[:k] = t[:k]
-            s = _fold(s, e, t, z, w, 1)
-            total = float(s[0] + e[0])
+        try:
+            total = math.fsum(_lane_partials(x, _SUM_WIDTH)) if x.size >= _SUM_WIDTH else _short_sum(x)
+        except (OverflowError, ValueError):  # fsum raises on overflow and on inf - inf
+            total = math.nan
         return total if math.isfinite(total) else float(np.sum(x))
 
 
@@ -338,7 +337,7 @@ def from_probs(values: Iterable[float], normalize: bool = False) -> DiscreteDist
 
 def uniform(m: int) -> DiscreteDistribution:
     """Uniform distribution on ``m`` atoms; a non-integer ``m`` is a ValueError."""
-    if m < 1:
+    if _orders(m) and m < 1:
         raise EmptyDistributionError(f"need at least one atom, got m={m}")
     m = _require_int(m, "m", 1)
     return DiscreteDistribution(np.full(m, 1.0 / m))
@@ -351,7 +350,7 @@ def uniform_dirac(atom_count: int, atom_mass: float, dirac_mass: float) -> Discr
     :data:`DIRAC_OMIT_THRESHOLD`. A non-integer ``atom_count`` is a
     ValueError.
     """
-    if atom_count < 1:
+    if _orders(atom_count) and atom_count < 1:
         raise EmptyDistributionError(f"need at least one uniform atom, got {atom_count}")
     atom_count = _require_int(atom_count, "atom_count", 1)
     if atom_mass < 0.0 or dirac_mass < 0.0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, _require_alphabet, _require_sample_size
+from .sizes import DIRAC_OMIT_THRESHOLD, INFINITE, _orders, _require_alphabet, _require_sample_size
 
 if TYPE_CHECKING:
     from .dist import DiscreteDistribution
@@ -165,7 +165,7 @@ def solve_alpha(b: float) -> ExtremalSolution:
     exactly. The sign of the derivative is evaluated in a form that stays
     finite for any b > 0, including subnormal b.
     """
-    if not b > 0.0:
+    if not (_orders(b) and b > 0.0):
         raise InvalidRatioError(f"alphabet ratio must be positive, got {b!r}")
     cstar = find_cstar()
     if b >= 1.0 / cstar:

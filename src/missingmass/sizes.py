@@ -2,8 +2,9 @@
 
 Each check is a ``_require_*`` function that returns the size as a Python
 int (or, for the alphabet, :data:`INFINITE`) and raises ValueError for
-anything else. This module imports no numpy, so the extremal solver and
-the commands that use only it start without numpy.
+anything else; :func:`_orders` lets a check that compares first give a
+string or None that ValueError too. This module imports no numpy, so the
+extremal solver and the commands that use only it start without numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,19 @@ DIRAC_OMIT_THRESHOLD = 1e-12
 
 #: Marker for an unbounded alphabet.
 INFINITE = math.inf
+
+
+def _orders(value: object) -> bool:
+    """Whether ``value`` orders against numbers: False for a string, None or a complex, where ``<`` raises TypeError.
+
+    A size check that compares first guards the comparison with it, so such
+    a value gets the check's own ValueError, not a bare TypeError.
+    """
+    try:
+        value < 0
+    except TypeError:
+        return False
+    return True
 
 
 def _require_int(value: int, name: str, least: int) -> int:
@@ -54,8 +68,8 @@ def _require_alphabet(m: int | float) -> int | float:
     """
     if m == INFINITE:
         return INFINITE
-    if m > sys.float_info.max:  # compared exactly; float(m) would overflow
+    if _orders(m) and m > sys.float_info.max:  # compared exactly; float(m) would overflow
         raise ValueError(f"alphabet bound must be at most {sys.float_info.max:g}, the largest float, or INFINITE")
-    if not (float(m).is_integer() and m >= 1):
+    if not (_orders(m) and float(m).is_integer() and m >= 1):
         raise ValueError(f"alphabet bound must be a positive integer or INFINITE, got {m!r}")
     return int(m)

@@ -2,6 +2,7 @@ import codecs
 import math
 import pickle
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,11 +41,17 @@ class TestAlphabetBound:
     def test_infinite(self):
         assert sizes._require_alphabet(INFINITE) is INFINITE
 
-    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), -math.inf, 10**400])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), -math.inf, 10**400, "7", None])
     def test_rejects_bad_values(self, value):
         message = "largest float" if value == 10**400 else "positive integer"
         with pytest.raises(ValueError, match=message):
             worst_case_distribution(100, value)
+
+    @pytest.mark.parametrize("value", [0, -3, 0.5, 2.5, math.nan, np.int64(0)])
+    def test_numbers_keep_their_message(self, value):
+        with pytest.raises(ValueError) as info:
+            worst_case_distribution(100, value)
+        assert str(info.value) == f"alphabet bound must be a positive integer or INFINITE, got {value!r}"
 
     def test_integral_types_give_one_spec(self):
         specs = [worst_case_distribution(100, m) for m in (20, 20.0, np.int64(20), np.uint8(20))]
@@ -135,10 +142,27 @@ class TestUniform:
         with pytest.raises(EmptyDistributionError):
             uniform(0)
 
-    @pytest.mark.parametrize("m", [2.5, 3.0])
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", None])
     def test_count_must_be_an_integer(self, m):
         with pytest.raises(ValueError, match="m must be an integer"):
             uniform(m)
+
+    @pytest.mark.parametrize(
+        "m, error, message",
+        [
+            (0, EmptyDistributionError, "need at least one atom, got m=0"),
+            (-3, EmptyDistributionError, "need at least one atom, got m=-3"),
+            (0.5, EmptyDistributionError, "need at least one atom, got m=0.5"),
+            (np.int64(0), EmptyDistributionError, "need at least one atom, got m=0"),
+            (2.5, ValueError, "m must be an integer, got 2.5"),
+            (3.0, ValueError, "m must be an integer, got 3.0"),
+            (math.nan, ValueError, "m must be an integer, got nan"),
+        ],
+    )
+    def test_numbers_keep_their_error(self, m, error, message):
+        with pytest.raises(ValueError) as info:
+            uniform(m)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_numpy_integer_count_passes(self):
         assert uniform(np.int64(4)).probs.tolist() == [0.25] * 4
@@ -181,6 +205,28 @@ class TestUniformDirac:
     def test_empty(self):
         with pytest.raises(EmptyDistributionError):
             uniform_dirac(0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("count", ["3", None])
+    def test_non_number_count_is_a_value_error(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"atom_count must be an integer, got {count!r}")):
+            uniform_dirac(count, 0.25, 0.25)
+
+    @pytest.mark.parametrize(
+        "count, error, message",
+        [
+            (0, EmptyDistributionError, "need at least one uniform atom, got 0"),
+            (-3, EmptyDistributionError, "need at least one uniform atom, got -3"),
+            (0.5, EmptyDistributionError, "need at least one uniform atom, got 0.5"),
+            (np.int64(0), EmptyDistributionError, "need at least one uniform atom, got 0"),
+            (2.5, ValueError, "atom_count must be an integer, got 2.5"),
+            (3.0, ValueError, "atom_count must be an integer, got 3.0"),
+            (math.nan, ValueError, "atom_count must be an integer, got nan"),
+        ],
+    )
+    def test_numbers_keep_their_error(self, count, error, message):
+        with pytest.raises(ValueError) as info:
+            uniform_dirac(count, 0.25, 0.25)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestValidation:
@@ -356,7 +402,7 @@ class TestCompensatedSum:
 
     @pytest.mark.parametrize("kind", sorted(INPUTS))
     @pytest.mark.parametrize(
-        "size", [0, 1, 2, 64, 1024, W - 1, W, W + 1, 2 * W + 1, 3 * W - 1, 4 * W, 5 * W + 7, 10**6]
+        "size", [0, 1, 2, 64, 769, 1024, 1025, 1100, W - 1, W, W + 1, 2 * W + 1, 3 * W - 1, 4 * W, 5 * W + 7, 10**6]
     )
     def test_against_fsum(self, kind, size):
         x = INPUTS[kind](np.random.default_rng(size), size)
@@ -407,8 +453,9 @@ class TestCompensatedSum:
 
     # Size alone routes a short sum. Close terms, where fsum is cheapest,
     # show it: below 768 terms fsum runs once, over all of them; from 768
-    # up the fold runs and its certificate holds, so fsum sees only the 128
-    # lane partials, then those and -r.
+    # up the column pass runs and its certificate holds, so fsum sees only
+    # the 128 lane partials, then those and -r. From one row up fsum runs
+    # once, over the 128 partials, whatever the terms.
 
     @staticmethod
     def _close_terms_fsum_calls(monkeypatch, size):
@@ -425,6 +472,44 @@ class TestCompensatedSum:
     @pytest.mark.parametrize("size", [768, 1024, 1500, W - 1])
     def test_close_terms_are_folded_from_768(self, monkeypatch, size):
         assert self._close_terms_fsum_calls(monkeypatch, size) == [2 * 64, 2 * 64 + 1]
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize("size", [W, 3 * W - 1, 10**5])
+    def test_long_sums_take_one_fsum_over_the_partials(self, monkeypatch, kind, size):
+        x = INPUTS[kind](np.random.default_rng(size), size)
+        sizes = _record_fsum(monkeypatch)
+        _compensated_sum(x)
+        assert sizes == [2 * 64]
+
+    def test_short_pass_scratch_fits_its_rows(self):
+        # 1025 terms lay out as one row of 1024 and a tail of 1: 5 x 1024
+        # floats of scratch, and under 8 KiB more for the 128 partials as
+        # Python floats and the array and list objects. Zero-padded to 2048,
+        # the scratch alone would be 5 x 2048 floats.
+        x = np.random.default_rng(0).uniform(1.0, 3.0, 1025)
+        _compensated_sum(x)
+        tracemalloc.start()
+        try:
+            _compensated_sum(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 1024 * 8 + 8 * 1024
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize("size", [768, 1023, 1024, 1025, W - 1])
+    def test_short_partials_within_the_certificate_bound(self, kind, size):
+        # Rows as wide as the largest power of two that fits, so h halvings
+        # to 64 lanes and a tail TwoSum: the exact total of the 128 partials
+        # lies within gamma_2(h+1)^2 sum|x| of the exact sum, in rationals.
+        x = INPUTS[kind](np.random.default_rng(size), size)
+        width = 1 << (size.bit_length() - 1)
+        partials = dist._lane_partials(x, width)
+        assert len(partials) == 2 * 64
+        depth = 2 * (width // 64).bit_length()
+        gamma = depth * Fraction(1, 2**53) / (1 - depth * Fraction(1, 2**53))
+        terms = [Fraction(v) for v in x.tolist()]
+        assert abs(sum(map(Fraction, partials)) - sum(terms)) <= gamma**2 * sum(map(abs, terms))
 
     @pytest.mark.parametrize("gap", [5, 7])
     def test_certificate_uses_each_sides_spacing(self, monkeypatch, gap):

@@ -137,10 +137,11 @@ class TestSolveAlpha:
             sol = solve_alpha(b)
             assert (sol.regime is Regime.UNIFORM) == (b >= 1.0 / cstar)
 
-    @pytest.mark.parametrize("b", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("b", [0.0, -1.0, -0.5, 0, -3, math.nan, np.int64(0), "0.5", None])
     def test_invalid_ratio(self, b):
-        with pytest.raises(InvalidRatioError):
+        with pytest.raises(InvalidRatioError) as info:
             solve_alpha(b)
+        assert str(info.value) == f"alphabet ratio must be positive, got {b!r}"
 
     def test_oracle_agreement_sample(self):
         # the full 9-point sweep runs in the acceptance suite
